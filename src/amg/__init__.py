@@ -43,6 +43,7 @@ from .substructures import (
     intersect_subgroupoids,
     is_almost_subgroupoid,
     is_brandt_subgroupoid,
+    is_subgroupoid,
     isotropy_subgroupoid,
     set_product,
 )

@@ -86,8 +86,9 @@ def _token_lines(text: str) -> list[list[_Tok]]:
 _SECTIONS = ("kind:", "elements:", "units:", "theta:", "alpha:", "beta:", "iota:")
 
 
-def parse_document(text: str) -> AgtDocument:
-    """Parse AGT text into a document without verifying the axioms."""
+def _body_lines(text: str) -> list[list[_Tok]]:
+    """Token lines after the 'agt 1' header, which is checked; shared by
+    structure and morphism files."""
     lines = _token_lines(text)
     if not lines:
         raise AgtParseError(1, 1, "empty document; expected header 'agt 1'")
@@ -98,16 +99,17 @@ def parse_document(text: str) -> AgtDocument:
         raise AgtParseError(head[0].line, head[0].col, "malformed header; expected 'agt 1'")
     if int(head[1].text) != AGT_VERSION:
         raise AgtParseError(head[1].line, head[1].col, f"unsupported format version {head[1].text}")
+    return lines[1:]
 
+
+def parse_document(text: str) -> AgtDocument:
+    """Parse AGT text into a document without verifying the axioms."""
+    lines = _body_lines(text)
     sections: dict[str, list[_Tok]] = {}
     table_rows: list[list[_Tok]] = []
-    i = 1
-    while i < len(lines):
-        line = lines[i]
+    for i, line in enumerate(lines):
         key = line[0]
         if key.text == "table:":
-            if "table" in sections:
-                raise AgtParseError(key.line, key.col, "duplicate section 'table:'")
             if len(line) > 1:
                 raise AgtParseError(line[1].line, line[1].col, "unexpected token after 'table:'")
             if "elements:" not in sections:
@@ -124,14 +126,12 @@ def parse_document(text: str) -> AgtDocument:
             if extra:
                 t = extra[0][0]
                 raise AgtParseError(t.line, t.col, "unexpected content after the table")
-            i = len(lines)
-            continue
+            break
         if key.text not in _SECTIONS:
             raise AgtParseError(key.line, key.col, f"unknown section {key.text!r}")
         if key.text in sections:
             raise AgtParseError(key.line, key.col, f"duplicate section {key.text!r}")
         sections[key.text] = line[1:]
-        i += 1
 
     for required in ("kind:", "elements:"):
         if required not in sections:
@@ -188,19 +188,12 @@ def parse_document(text: str) -> AgtDocument:
         seen_units.add(u)
         units.append(u)
 
-    theta = alpha = beta = None
-    if kind == "almost":
-        for bad in ("alpha:", "beta:"):
-            if bad in sections:
-                t = sections[bad][0] if sections[bad] else kind_toks[0]
-                raise AgtParseError(t.line, t.col, f"section {bad!r} is not allowed for kind almost")
-        theta = section_map("theta:")
-    else:
-        if "theta:" in sections:
-            t = sections["theta:"][0] if sections["theta:"] else kind_toks[0]
-            raise AgtParseError(t.line, t.col, "section 'theta:' is not allowed for kind brandt")
-        alpha = section_map("alpha:")
-        beta = section_map("beta:")
+    anchors = ("theta",) if kind == "almost" else ("alpha", "beta")
+    for bad in ("alpha:", "beta:", "theta:"):
+        if bad in sections and bad[:-1] not in anchors:
+            t = sections[bad][0] if sections[bad] else kind_toks[0]
+            raise AgtParseError(t.line, t.col, f"section {bad!r} is not allowed for kind {kind}")
+    maps = {label: section_map(label + ":") for label in anchors}
     iota = section_map("iota:")
 
     if "table" not in sections:
@@ -214,14 +207,16 @@ def parse_document(text: str) -> AgtDocument:
             )
         rows.append(tuple(None if t.text == "." else resolve(t) for t in row_toks))
 
-    return AgtDocument(kind, tuple(names), tuple(units), theta, alpha, beta, iota, tuple(rows))
+    return AgtDocument(
+        kind, tuple(names), tuple(units), maps.get("theta"), maps.get("alpha"), maps.get("beta"),
+        iota, tuple(rows),
+    )
 
 
 def build_structure(doc: AgtDocument) -> Structure:
     """Run the verifying constructor for a parsed document."""
-    if doc.kind == "almost":
-        return AlmostGroupoid(doc.names, doc.units, doc.theta, doc.iota, doc.table)
-    return BrandtGroupoid(doc.names, doc.units, doc.alpha, doc.beta, doc.iota, doc.table)
+    cls = AlmostGroupoid if doc.kind == "almost" else BrandtGroupoid
+    return cls(doc.names, doc.units, *(getattr(doc, label) for label in cls._maps), doc.table)
 
 
 def parse(text: str) -> Structure:
@@ -242,12 +237,8 @@ def serialize(G: Structure) -> str:
         "elements: " + " ".join(names),
         "units: " + " ".join(names[u] for u in G.units),
     ]
-    if isinstance(G, AlmostGroupoid):
-        lines.append("theta: " + " ".join(names[v] for v in G.theta))
-    else:
-        lines.append("alpha: " + " ".join(names[v] for v in G.alpha))
-        lines.append("beta: " + " ".join(names[v] for v in G.beta))
-    lines.append("iota: " + " ".join(names[v] for v in G.iota))
+    for label in G._maps:
+        lines.append(f"{label}: " + " ".join(names[v] for v in getattr(G, label)))
     lines.append("table:")
     for row in G.table.rows():
         lines.append(" ".join("." if v is None else names[v] for v in row))
@@ -299,19 +290,10 @@ def parse_morphism(text: str, Gs: Structure, Gt: Structure) -> MorphismPair:
     "unitmap:" entries every source unit; left names resolve in the source,
     right names in the target.
     """
-    lines = _token_lines(text)
-    if not lines:
-        raise AgtParseError(1, 1, "empty document; expected header 'agt 1'")
-    head = lines[0]
-    if head[0].text != "agt" or len(head) != 2 or not head[1].text.isdigit():
-        raise AgtParseError(head[0].line, head[0].col, "expected header 'agt 1'")
-    if int(head[1].text) != AGT_VERSION:
-        raise AgtParseError(head[1].line, head[1].col, f"unsupported format version {head[1].text}")
-
     kind_seen = False
     entries: dict[str, list[_Tok]] = {"map:": [], "unitmap:": []}
     section = None
-    for line in lines[1:]:
+    for line in _body_lines(text):
         key = line[0]
         if key.text == "kind:":
             if kind_seen:
@@ -359,7 +341,7 @@ def parse_morphism(text: str, Gs: Structure, Gt: Structure) -> MorphismPair:
     f0: dict[int, int] = {}
     for t in entries["unitmap:"]:
         s, d = split_pair(t)
-        if s not in set(Gs.units):
+        if not Gs.is_unit(s):
             raise AgtParseError(t.line, t.col, f"{Gs.names[s]!r} is not a source unit")
         if s in f0:
             raise AgtParseError(t.line, t.col, f"duplicate unitmap entry for {Gs.names[s]!r}")

@@ -173,7 +173,7 @@ def _norm_names(names) -> tuple[str, ...]:
             raise ValueError("element names must be non-empty")
         if any(c.isspace() for c in s):
             raise ValueError(f"element name {s!r} contains whitespace")
-        if "#" in s or "." in s:
+        if "#" in s or "." in s or "=" in s:
             raise ValueError(f"element name {s!r} contains a reserved character")
         if s in seen:
             raise ValueError(f"duplicate element name {s!r}")
@@ -278,6 +278,73 @@ def _check_assoc(T, names, col: _Collector, law: Law) -> None:
                 return
 
 
+def _check_axioms(names, units, anchors, iota, table, laws, cap: Optional[int]) -> VerificationReport:
+    """The exhaustive axiom check over source alpha and target beta.
+
+    anchors holds one (label, map) pair when alpha = beta = theta, else the
+    pairs for alpha and beta; labels name the maps in messages. laws is
+    ALMOST_LAWS or BRANDT_LAWS, whose entries 1-4 name the reported laws;
+    iota injectivity is checked only when laws lists IOTA_INJECTIVE.
+    """
+    names = _norm_names(names)
+    n = len(names)
+    units = _norm_units(units, n)
+    anchors = [(label, _norm_map(m, n, label)) for label, m in anchors]
+    iota = _norm_map(iota, n, "iota")
+    T = _norm_table(table, n).cells
+    (a, alpha), (b, beta) = anchors[0], anchors[-1]
+
+    al = np.asarray(alpha, dtype=np.int32)
+    be = np.asarray(beta, dtype=np.int32)
+    io_ = np.asarray(iota, dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    col = _Collector(cap)
+    _, assoc, identity, inverse, onto = laws[:5]
+
+    def cells(law: Law, got: np.ndarray, want: np.ndarray, message) -> None:
+        for x in np.nonzero(got != want)[0]:
+            x, g = int(x), int(got[x])
+            if not col.add(law, (x,), message(x, "undefined" if g < 0 else names[g])):
+                break
+
+    _check_domain(T, be[:, None] == al[None, :], names, col)
+    _check_assoc(T, names, col, assoc)
+    cells(identity, T[al, idx], idx, lambda x, d: f"{a}({names[x]})*{names[x]} = {d}, expected {names[x]}")
+    cells(identity, T[idx, be], idx, lambda x, d: f"{names[x]}*{b}({names[x]}) = {d}, expected {names[x]}")
+    cells(inverse, T[idx, io_], al,
+          lambda x, d: f"{names[x]}*inv({names[x]}) = {d}, expected {a} = {names[alpha[x]]}")
+    cells(inverse, T[io_, idx], be,
+          lambda x, d: f"inv({names[x]})*{names[x]} = {d}, expected {b} = {names[beta[x]]}")
+
+    unit_set = set(units)
+    if not unit_set:
+        col.add(onto, (), "unit set is empty")
+    for label, m in anchors:
+        for x in range(n):
+            if m[x] not in unit_set:
+                if not col.add(onto, (x,), f"{label}({names[x]}) = {names[m[x]]} is not a unit"):
+                    break
+        for u in sorted(unit_set - set(m)):
+            if not col.add(onto, (u,), f"unit {names[u]} is not in the image of {label}"):
+                break
+
+    if Law.IOTA_INJECTIVE in laws:
+        targets: dict[int, int] = {}
+        for x in range(n):
+            t = iota[x]
+            if t in targets:
+                if not col.add(
+                    Law.IOTA_INJECTIVE,
+                    (targets[t], x),
+                    f"inv({names[targets[t]]}) = inv({names[x]}) = {names[t]}; iota is not injective",
+                ):
+                    break
+            else:
+                targets[t] = x
+
+    return col.report()
+
+
 def verify_almost(
     names, units, theta, iota, table, *, max_violations_per_law: Optional[int] = 100
 ) -> VerificationReport:
@@ -290,62 +357,9 @@ def verify_almost(
     set. Returns a report listing violations with witnesses; raises
     ValueError only for dimensionally inconsistent input.
     """
-    names = _norm_names(names)
-    n = len(names)
-    units = _norm_units(units, n)
-    theta = _norm_map(theta, n, "theta")
-    iota = _norm_map(iota, n, "iota")
-    ptable = _norm_table(table, n)
-
-    T = ptable.cells
-    th = np.asarray(theta, dtype=np.int32)
-    io_ = np.asarray(iota, dtype=np.int32)
-    idx = np.arange(n, dtype=np.int32)
-    col = _Collector(max_violations_per_law)
-
-    _check_domain(T, th[:, None] == th[None, :], names, col)
-    _check_assoc(T, names, col, Law.AG1)
-
-    for x in np.nonzero(T[th, idx] != idx)[0]:
-        x = int(x)
-        got = int(T[theta[x], x])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.AG2, (x,), f"theta({names[x]})*{names[x]} = {detail}, expected {names[x]}"):
-            break
-    for x in np.nonzero(T[idx, th] != idx)[0]:
-        x = int(x)
-        got = int(T[x, theta[x]])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.AG2, (x,), f"{names[x]}*theta({names[x]}) = {detail}, expected {names[x]}"):
-            break
-
-    for x in np.nonzero(T[idx, io_] != th)[0]:
-        x = int(x)
-        got = int(T[x, iota[x]])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.AG3, (x,), f"{names[x]}*inv({names[x]}) = {detail}, expected theta = {names[theta[x]]}"):
-            break
-    for x in np.nonzero(T[io_, idx] != th)[0]:
-        x = int(x)
-        got = int(T[iota[x], x])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.AG3, (x,), f"inv({names[x]})*{names[x]} = {detail}, expected theta = {names[theta[x]]}"):
-            break
-
-    unit_set = set(units)
-    if not unit_set:
-        col.add(Law.THETA_SURJECTIVE, (), "unit set is empty")
-    image = set(theta)
-    for x in range(n):
-        if theta[x] not in unit_set:
-            if not col.add(Law.THETA_SURJECTIVE, (x,), f"theta({names[x]}) = {names[theta[x]]} is not a unit"):
-                break
-    for u in units:
-        if u not in image:
-            if not col.add(Law.THETA_SURJECTIVE, (u,), f"unit {names[u]} is not in the image of theta"):
-                break
-
-    return col.report()
+    return _check_axioms(
+        names, units, (("theta", theta),), iota, table, ALMOST_LAWS, max_violations_per_law
+    )
 
 
 def verify_brandt(
@@ -358,79 +372,10 @@ def verify_brandt(
     x*inv(x) = alpha(x) and inv(x)*x = beta(x), surjectivity of alpha and
     beta onto the unit set, and injectivity of the inversion map.
     """
-    names = _norm_names(names)
-    n = len(names)
-    units = _norm_units(units, n)
-    alpha = _norm_map(alpha, n, "alpha")
-    beta = _norm_map(beta, n, "beta")
-    iota = _norm_map(iota, n, "iota")
-    ptable = _norm_table(table, n)
-
-    T = ptable.cells
-    al = np.asarray(alpha, dtype=np.int32)
-    be = np.asarray(beta, dtype=np.int32)
-    io_ = np.asarray(iota, dtype=np.int32)
-    idx = np.arange(n, dtype=np.int32)
-    col = _Collector(max_violations_per_law)
-
-    _check_domain(T, be[:, None] == al[None, :], names, col)
-    _check_assoc(T, names, col, Law.B1_ASSOC)
-
-    for x in np.nonzero(T[al, idx] != idx)[0]:
-        x = int(x)
-        got = int(T[alpha[x], x])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.B2_IDENTITIES, (x,), f"alpha({names[x]})*{names[x]} = {detail}, expected {names[x]}"):
-            break
-    for x in np.nonzero(T[idx, be] != idx)[0]:
-        x = int(x)
-        got = int(T[x, beta[x]])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.B2_IDENTITIES, (x,), f"{names[x]}*beta({names[x]}) = {detail}, expected {names[x]}"):
-            break
-
-    for x in np.nonzero(T[idx, io_] != al)[0]:
-        x = int(x)
-        got = int(T[x, iota[x]])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.B3_INVERSES, (x,), f"{names[x]}*inv({names[x]}) = {detail}, expected alpha = {names[alpha[x]]}"):
-            break
-    for x in np.nonzero(T[io_, idx] != be)[0]:
-        x = int(x)
-        got = int(T[iota[x], x])
-        detail = "undefined" if got < 0 else names[got]
-        if not col.add(Law.B3_INVERSES, (x,), f"inv({names[x]})*{names[x]} = {detail}, expected beta = {names[beta[x]]}"):
-            break
-
-    unit_set = set(units)
-    if not unit_set:
-        col.add(Law.ALPHA_BETA_SURJECTIVE, (), "unit set is empty")
-    for label, m in (("alpha", alpha), ("beta", beta)):
-        for x in range(n):
-            if m[x] not in unit_set:
-                if not col.add(
-                    Law.ALPHA_BETA_SURJECTIVE, (x,), f"{label}({names[x]}) = {names[m[x]]} is not a unit"
-                ):
-                    break
-        missing = unit_set - set(m)
-        for u in sorted(missing):
-            if not col.add(Law.ALPHA_BETA_SURJECTIVE, (u,), f"unit {names[u]} is not in the image of {label}"):
-                break
-
-    targets: dict[int, int] = {}
-    for x in range(n):
-        t = iota[x]
-        if t in targets:
-            if not col.add(
-                Law.IOTA_INJECTIVE,
-                (targets[t], x),
-                f"inv({names[targets[t]]}) = inv({names[x]}) = {names[t]}; iota is not injective",
-            ):
-                break
-        else:
-            targets[t] = x
-
-    return col.report()
+    return _check_axioms(
+        names, units, (("alpha", alpha), ("beta", beta)), iota, table, BRANDT_LAWS,
+        max_violations_per_law,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,8 +407,12 @@ class ElementSubset:
     def names(self) -> tuple[str, ...]:
         return tuple(self.owner.names[m] for m in self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self._member_set
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -483,12 +432,36 @@ class ElementSubset:
 
 
 class _StructureBase:
-    """Shared behaviour of the two structure kinds."""
+    """The model shared by both kinds: source map alpha, target map beta,
+    inversion iota, and a partial table in which the product of x and y is
+    defined exactly when beta(x) = alpha(y). An almost groupoid is the case
+    alpha = beta = theta.
+
+    Subclasses are frozen dataclasses with the fields names, units, the
+    element maps listed in _maps, and table. Construction normalises the
+    fields and, unless check=False, runs the subclass's _verify, the
+    exhaustive axiom check of its kind.
+    """
 
     names: tuple[str, ...]
     units: tuple[int, ...]
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
     iota: tuple[int, ...]
     table: PartialTable
+    _maps: tuple[str, ...]
+
+    def __post_init__(self, check: bool):
+        object.__setattr__(self, "names", _norm_names(self.names))
+        n = len(self.names)
+        object.__setattr__(self, "units", _norm_units(self.units, n))
+        for label in self._maps:
+            object.__setattr__(self, label, _norm_map(getattr(self, label), n, label))
+        object.__setattr__(self, "table", _norm_table(self.table, n))
+        if check:
+            report = self._verify()
+            if not report.passed:
+                raise VerificationError(report)
 
     @property
     def order(self) -> int:
@@ -498,6 +471,31 @@ class _StructureBase:
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.names)}
 
+    @cached_property
+    def _unit_set(self) -> frozenset[int]:
+        return frozenset(self.units)
+
+    @cached_property
+    def fibers(self) -> dict[int, tuple[int, ...]]:
+        """Unit u -> sorted tuple of the elements x with alpha(x) = beta(x) = u.
+
+        These are the isotropy groups; for an almost groupoid, the theta fibers.
+        """
+        alpha, beta = self.alpha, self.beta
+        out: dict[int, list[int]] = {u: [] for u in self.units}
+        for x in range(self.order):
+            if alpha[x] == beta[x]:
+                out[alpha[x]].append(x)
+        return {u: tuple(v) for u, v in out.items()}
+
+    @cached_property
+    def _by_target(self) -> dict[int, tuple[int, ...]]:
+        """Unit u -> sorted tuple of the elements x with beta(x) = u."""
+        out: dict[int, list[int]] = {u: [] for u in self.units}
+        for x, u in enumerate(self.beta):
+            out[u].append(x)
+        return {u: tuple(v) for u, v in out.items()}
+
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
@@ -505,7 +503,13 @@ class _StructureBase:
             raise KeyError(f"unknown element name {name!r}") from None
 
     def is_unit(self, x: int) -> bool:
-        return x in set(self.units)
+        return x in self._unit_set
+
+    def composable(self, x: int, y: int) -> bool:
+        n = self.order
+        if not (0 <= x < n and 0 <= y < n):
+            raise IndexError(f"element index out of range: ({x}, {y})")
+        return self.beta[x] == self.alpha[y]
 
     def mul(self, x: int, y: int) -> int:
         v = self.table.get(x, y)
@@ -513,20 +517,53 @@ class _StructureBase:
             raise UndefinedProductError(x, y, self.names[x], self.names[y])
         return v
 
+    def inv(self, x: int) -> int:
+        return self.iota[x]
+
+    def isotropy_group(self, u: int) -> ElementSubset:
+        """Elements x with alpha(x) = beta(x) = u; a group under the table."""
+        if u not in self._unit_set:
+            raise ValueError(f"{self.names[u] if 0 <= u < self.order else u} is not a unit")
+        return ElementSubset(self, self.fibers[u])
+
+    def element_order(self, x: int) -> int:
+        """Order of x inside its isotropy group; x must have alpha(x) = beta(x)."""
+        e = self.alpha[x]
+        k, cur = 1, x
+        while cur != e:
+            cur = self.mul(cur, x)
+            k += 1
+        return k
+
     def subset(self, ids: Iterable[int]) -> ElementSubset:
         return ElementSubset.from_ids(self, ids)
 
     def carrier(self) -> ElementSubset:
         return ElementSubset(self, tuple(range(self.order)))
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.names == other.names
+            and self.units == other.units
+            and self.alpha == other.alpha
+            and self.beta == other.beta
+            and self.iota == other.iota
+            and self.table == other.table
+        )
 
-@dataclass(frozen=True, eq=False)
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} order={self.order} units={len(self.units)}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class AlmostGroupoid(_StructureBase):
     """Finite almost groupoid: units map theta, inversion iota, partial table.
 
-    The product of x and y is defined exactly when theta(x) = theta(y).
-    Construction runs the exhaustive axiom check and raises
-    VerificationError on failure; pass check=False only in test oracles.
+    The case alpha = beta = theta of the shared model: the product of x and
+    y is defined exactly when theta(x) = theta(y). Construction runs the
+    exhaustive axiom check and raises VerificationError on failure; pass
+    check=False only in test oracles.
     """
 
     names: tuple[str, ...]
@@ -537,30 +574,20 @@ class AlmostGroupoid(_StructureBase):
     check: InitVar[bool] = True
 
     kind = "almost"
+    _maps = ("theta", "iota")
 
-    def __post_init__(self, check: bool):
-        object.__setattr__(self, "names", _norm_names(self.names))
-        n = len(self.names)
-        object.__setattr__(self, "units", _norm_units(self.units, n))
-        object.__setattr__(self, "theta", _norm_map(self.theta, n, "theta"))
-        object.__setattr__(self, "iota", _norm_map(self.iota, n, "iota"))
-        object.__setattr__(self, "table", _norm_table(self.table, n))
-        if check:
-            report = verify_almost(self.names, self.units, self.theta, self.iota, self.table)
-            if not report.passed:
-                raise VerificationError(report)
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        """Source and target map alike: theta."""
+        return self.theta
 
-    def composable(self, x: int, y: int) -> bool:
-        n = self.order
-        if not (0 <= x < n and 0 <= y < n):
-            raise IndexError(f"element index out of range: ({x}, {y})")
-        return self.theta[x] == self.theta[y]
+    beta = alpha
+
+    def _verify(self) -> VerificationReport:
+        return verify_almost(self.names, self.units, self.theta, self.iota, self.table)
 
     def theta_of(self, x: int) -> int:
         return self.theta[x]
-
-    def inv(self, x: int) -> int:
-        return self.iota[x]
 
     def power(self, a: int, n: int) -> int:
         """n-th power of a with a^0 = theta(a) and a^-n = (inv a)^n."""
@@ -574,29 +601,6 @@ class AlmostGroupoid(_StructureBase):
             out = self.mul(out, base)
         return out
 
-    @cached_property
-    def fibers(self) -> dict[int, tuple[int, ...]]:
-        """Unit -> sorted tuple of the elements in its theta fiber."""
-        out: dict[int, list[int]] = {u: [] for u in self.units}
-        for x in range(self.order):
-            out[self.theta[x]].append(x)
-        return {u: tuple(v) for u, v in out.items()}
-
-    def isotropy_group(self, u: int) -> ElementSubset:
-        """The fiber of theta over the unit u; a group under the table."""
-        if u not in set(self.units):
-            raise ValueError(f"{self.names[u] if 0 <= u < self.order else u} is not a unit")
-        return ElementSubset(self, self.fibers[u])
-
-    def element_order(self, x: int) -> int:
-        """Order of x inside its isotropy group."""
-        e = self.theta[x]
-        k, cur = 1, x
-        while cur != e:
-            cur = self.mul(cur, x)
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
         T = self.table.cells
         for fib in self.fibers.values():
@@ -606,21 +610,8 @@ class AlmostGroupoid(_StructureBase):
                         return False
         return True
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlmostGroupoid)
-            and self.names == other.names
-            and self.units == other.units
-            and self.theta == other.theta
-            and self.iota == other.iota
-            and self.table == other.table
-        )
 
-    def __repr__(self) -> str:
-        return f"<AlmostGroupoid order={self.order} units={len(self.units)}>"
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BrandtGroupoid(_StructureBase):
     """Finite Brandt groupoid: source alpha, target beta, inversion, table.
 
@@ -637,57 +628,15 @@ class BrandtGroupoid(_StructureBase):
     check: InitVar[bool] = True
 
     kind = "brandt"
+    _maps = ("alpha", "beta", "iota")
 
-    def __post_init__(self, check: bool):
-        object.__setattr__(self, "names", _norm_names(self.names))
-        n = len(self.names)
-        object.__setattr__(self, "units", _norm_units(self.units, n))
-        object.__setattr__(self, "alpha", _norm_map(self.alpha, n, "alpha"))
-        object.__setattr__(self, "beta", _norm_map(self.beta, n, "beta"))
-        object.__setattr__(self, "iota", _norm_map(self.iota, n, "iota"))
-        object.__setattr__(self, "table", _norm_table(self.table, n))
-        if check:
-            report = verify_brandt(
-                self.names, self.units, self.alpha, self.beta, self.iota, self.table
-            )
-            if not report.passed:
-                raise VerificationError(report)
-
-    def composable(self, x: int, y: int) -> bool:
-        n = self.order
-        if not (0 <= x < n and 0 <= y < n):
-            raise IndexError(f"element index out of range: ({x}, {y})")
-        return self.beta[x] == self.alpha[y]
-
-    def inv(self, x: int) -> int:
-        return self.iota[x]
-
-    def isotropy_group(self, u: int) -> ElementSubset:
-        """Elements x with alpha(x) = beta(x) = u; a group under the table."""
-        if u not in set(self.units):
-            raise ValueError(f"{self.names[u] if 0 <= u < self.order else u} is not a unit")
-        return ElementSubset(
-            self, tuple(x for x in range(self.order) if self.alpha[x] == u and self.beta[x] == u)
-        )
+    def _verify(self) -> VerificationReport:
+        return verify_brandt(self.names, self.units, self.alpha, self.beta, self.iota, self.table)
 
     def is_transitive(self) -> bool:
         """True iff the anchor map x -> (alpha(x), beta(x)) is onto units x units."""
         anchor = {(self.alpha[x], self.beta[x]) for x in range(self.order)}
         return len(anchor) == len(self.units) ** 2
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BrandtGroupoid)
-            and self.names == other.names
-            and self.units == other.units
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and self.iota == other.iota
-            and self.table == other.table
-        )
-
-    def __repr__(self) -> str:
-        return f"<BrandtGroupoid order={self.order} units={len(self.units)}>"
 
 
 Structure = Union[AlmostGroupoid, BrandtGroupoid]
@@ -762,8 +711,13 @@ def derived_identities(G: AlmostGroupoid, *, max_violations_per_law: Optional[in
                 if p < 0 or theta[p] != theta[x]:
                     fail("theta-of-product", (x, y), f"theta({names[x]}*{names[y]}) != theta({names[x]})")
 
+    # theta-of-inverse and theta-after-iota state one predicate, as do
+    # double-inverse and iota-involution; each is computed once.
+    inverse_moves_theta = [theta[iota[x]] != theta[x] for x in range(n)]
+    not_involution = [iota[iota[x]] != x for x in range(n)]
+
     for x in range(n):
-        if theta[iota[x]] != theta[x]:
+        if inverse_moves_theta[x]:
             fail("theta-of-inverse", (x,), f"theta(inv({names[x]})) != theta({names[x]})")
         if theta[theta[x]] != theta[x]:
             fail("theta-idempotent", (x,), f"theta(theta({names[x]})) != theta({names[x]})")
@@ -785,7 +739,7 @@ def derived_identities(G: AlmostGroupoid, *, max_violations_per_law: Optional[in
                     fail("inverse-of-product", (x, y), f"inv({names[x]}*{names[y]}) != inv({names[y]})*inv({names[x]})")
 
     for x in range(n):
-        if iota[iota[x]] != x:
+        if not_involution[x]:
             fail("double-inverse", (x,), f"inv(inv({names[x]})) != {names[x]}")
 
     for u, fib in G.fibers.items():
@@ -800,9 +754,9 @@ def derived_identities(G: AlmostGroupoid, *, max_violations_per_law: Optional[in
                     fail("solve-in-fiber", (x, y), f"({names[x]}*{names[y]})*inv({names[y]}) != {names[x]}")
 
     for x in range(n):
-        if theta[iota[x]] != theta[x]:
+        if inverse_moves_theta[x]:
             fail("theta-after-iota", (x,), f"(theta o iota)({names[x]}) != theta({names[x]})")
-        if iota[iota[x]] != x:
+        if not_involution[x]:
             fail("iota-involution", (x,), f"(iota o iota)({names[x]}) != {names[x]}")
 
     for u, fib in G.fibers.items():

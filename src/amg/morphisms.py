@@ -8,10 +8,11 @@ definition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import AlmostGroupoid, BrandtGroupoid, Structure
+from .core import Structure
 
 ISO_SEARCH_BOUND = 64
 
@@ -41,19 +42,21 @@ def _check_dims(Gs: Structure, Gt: Structure, m: MorphismPair) -> None:
             raise ValueError(f"unit map value {v} out of range for the target")
 
 
-def is_almost_morphism(
-    Gs: AlmostGroupoid, Gt: AlmostGroupoid, m: MorphismPair
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Check f(x*y) = f(x)*f(y) on composable pairs and theta' o f = f0 o theta.
+def is_morphism(Gs: Structure, Gt: Structure, m: MorphismPair) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Check f(x*y) = f(x)*f(y) on composable pairs and the anchor conditions
+    alpha' o f = f0 o alpha and beta' o f = f0 o beta (theta' o f = f0 o theta
+    for almost groupoids).
 
-    The unit condition is checked first (witness (x,)), then products over
-    composable pairs in index order (witness (x, y)); an undefined target
-    product counts as a product violation.
+    The anchor conditions are checked first (witness (x,)), then products
+    over composable pairs in index order (witness (x, y)); an undefined
+    target product counts as a product violation.
     """
+    if type(Gs) is not type(Gt):
+        raise TypeError("source and target must be structures of the same kind")
     _check_dims(Gs, Gt, m)
     f, f0 = m.f, m.f0
     for x in range(Gs.order):
-        if Gt.theta[f[x]] != f0[Gs.theta[x]]:
+        if Gt.alpha[f[x]] != f0[Gs.alpha[x]] or Gt.beta[f[x]] != f0[Gs.beta[x]]:
             return False, (x,)
     Ts, Tt = Gs.table.cells, Gt.table.cells
     for x in range(Gs.order):
@@ -67,34 +70,7 @@ def is_almost_morphism(
     return True, None
 
 
-def is_brandt_morphism(
-    Bs: BrandtGroupoid, Bt: BrandtGroupoid, m: MorphismPair
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Check the product condition and both anchor conditions
-    alpha' o f = f0 o alpha and beta' o f = f0 o beta."""
-    _check_dims(Bs, Bt, m)
-    f, f0 = m.f, m.f0
-    for x in range(Bs.order):
-        if Bt.alpha[f[x]] != f0[Bs.alpha[x]] or Bt.beta[f[x]] != f0[Bs.beta[x]]:
-            return False, (x,)
-    Ts, Tt = Bs.table.cells, Bt.table.cells
-    for x in range(Bs.order):
-        for y in range(Bs.order):
-            p = int(Ts[x, y])
-            if p < 0:
-                continue
-            q = int(Tt[f[x], f[y]])
-            if q < 0 or q != f[p]:
-                return False, (x, y)
-    return True, None
-
-
-def is_morphism(Gs: Structure, Gt: Structure, m: MorphismPair) -> tuple[bool, Optional[tuple[int, ...]]]:
-    if isinstance(Gs, AlmostGroupoid) and isinstance(Gt, AlmostGroupoid):
-        return is_almost_morphism(Gs, Gt, m)
-    if isinstance(Gs, BrandtGroupoid) and isinstance(Gt, BrandtGroupoid):
-        return is_brandt_morphism(Gs, Gt, m)
-    raise TypeError("source and target must be structures of the same kind")
+is_almost_morphism = is_brandt_morphism = is_morphism
 
 
 def is_isomorphism(Gs: Structure, Gt: Structure, m: MorphismPair) -> bool:
@@ -109,24 +85,26 @@ def is_isomorphism(Gs: Structure, Gt: Structure, m: MorphismPair) -> bool:
     return set(m.f0.values()) == set(Gt.units)
 
 
-def _fiber_signature(G: Structure, u: int) -> tuple:
-    if isinstance(G, AlmostGroupoid):
-        fib = G.fibers[u]
-        return (len(fib), tuple(sorted(G.element_order(x) for x in fib)))
-    iso = G.isotropy_group(u).members
-    out_deg = sum(1 for x in range(G.order) if G.alpha[x] == u)
-    in_deg = sum(1 for x in range(G.order) if G.beta[x] == u)
-    return (len(iso), out_deg, in_deg)
+def _fiber_signatures(G: Structure, orders: dict[int, int]) -> dict[int, tuple]:
+    """Unit -> isotropy group order, out- and in-degree, and sorted element orders."""
+    out_deg = Counter(G.alpha)
+    in_deg = Counter(G.beta)
+    return {
+        u: (len(fib), out_deg[u], in_deg[u], tuple(sorted(orders[x] for x in fib)))
+        for u, fib in G.fibers.items()
+    }
 
 
 def find_isomorphism(Gs: Structure, Gt: Structure) -> Optional[MorphismPair]:
     """Backtracking search for an isomorphism; None when there is none.
 
     Units are matched first against units with equal fiber signatures
-    (fiber sizes and element orders for almost groupoids, isotropy and
-    degree counts for Brandt groupoids); remaining elements are matched in
-    ascending index order with candidates tried in ascending order, so the
-    search is deterministic and returns the identity for G against itself.
+    (isotropy group order, degree counts and element orders); each
+    remaining element is matched, in ascending index order, against the
+    targets whose anchors are the images of its anchors and, for elements
+    of an isotropy group, whose element order is the same. Candidates are
+    tried in ascending order, so the search is deterministic and returns
+    the identity for G against itself.
     """
     if type(Gs) is not type(Gt):
         raise TypeError("source and target must be structures of the same kind")
@@ -135,19 +113,19 @@ def find_isomorphism(Gs: Structure, Gt: Structure) -> Optional[MorphismPair]:
     if Gs.order != Gt.order or len(Gs.units) != len(Gt.units):
         return None
 
-    sig_s = {u: _fiber_signature(Gs, u) for u in Gs.units}
-    sig_t = {u: _fiber_signature(Gt, u) for u in Gt.units}
+    order_s = {x: Gs.element_order(x) for fib in Gs.fibers.values() for x in fib}
+    order_t = {x: Gt.element_order(x) for fib in Gt.fibers.values() for x in fib}
+    sig_s = _fiber_signatures(Gs, order_s)
+    sig_t = _fiber_signatures(Gt, order_t)
     if sorted(sig_s.values()) != sorted(sig_t.values()):
         return None
 
-    almost = isinstance(Gs, AlmostGroupoid)
     n = Gs.order
     Ts, Tt = Gs.table.cells, Gt.table.cells
-    unit_vars = list(Gs.units)
-    other_vars = [x for x in range(n) if x not in set(Gs.units)]
-    variables = unit_vars + other_vars
-    order_s = {x: Gs.element_order(x) for x in range(n)} if almost else {}
-    order_t = {x: Gt.element_order(x) for x in range(n)} if almost else {}
+    variables = list(Gs.units) + [x for x in range(n) if not Gs.is_unit(x)]
+    anchored_t: dict[tuple[int, int], list[int]] = {}
+    for t in range(n):
+        anchored_t.setdefault((Gt.alpha[t], Gt.beta[t]), []).append(t)
 
     f = [-1] * n
     used = [False] * n
@@ -156,11 +134,8 @@ def find_isomorphism(Gs: Structure, Gt: Structure) -> Optional[MorphismPair]:
     def candidates(x: int) -> list[int]:
         if x in sig_s:
             return [t for t in Gt.units if sig_t[t] == sig_s[x]]
-        if almost:
-            tu = f[Gs.theta[x]]
-            return [t for t in range(n) if Gt.theta[t] == tu and order_t[t] == order_s[x]]
-        ta, tb = f[Gs.alpha[x]], f[Gs.beta[x]]
-        return [t for t in range(n) if Gt.alpha[t] == ta and Gt.beta[t] == tb]
+        pool = anchored_t.get((f[Gs.alpha[x]], f[Gs.beta[x]]), [])
+        return [t for t in pool if order_t.get(t) == order_s.get(x)]
 
     def consistent(x: int, t: int) -> bool:
         ix = Gs.iota[x]

@@ -9,12 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (
-    AlmostGroupoid,
-    BrandtGroupoid,
-    ElementSubset,
-    Structure,
-)
+from .core import AlmostGroupoid, ElementSubset, Structure
 
 
 class EmptyIntersectionError(Exception):
@@ -50,61 +45,18 @@ def _require_owned(G: Structure, H: ElementSubset) -> None:
         raise ValueError("subset must be non-empty")
 
 
-def is_almost_subgroupoid(G: AlmostGroupoid, H: ElementSubset) -> SubgroupoidReport:
-    """Check closure of H under multiplication and inversion, wideness, normality.
+def is_subgroupoid(G: Structure, H: ElementSubset) -> SubgroupoidReport:
+    """Check closure of H under defined products and inversion, wideness, normality.
 
-    The unit set of H is computed as the theta image of H. Normality is
-    checked fiber by fiber: a conjugate g*h*inv(g) is defined exactly when
-    theta(g) = theta(h).
+    The unit set of H is its image under alpha and beta (theta for an almost
+    groupoid); H is wide when both images are the whole unit set. Normality
+    uses the defined conjugates g*h*inv(g), which requires alpha(h) = beta(h)
+    = beta(g); for an almost groupoid, g and h in the same fiber.
     """
     _require_owned(G, H)
     mem = set(H.members)
     T = G.table.cells
-    theta, iota = G.theta, G.iota
-
-    witness: Optional[tuple[int, ...]] = None
-    closed = True
-    for x in H.members:
-        for y in H.members:
-            if theta[x] == theta[y] and int(T[x, y]) not in mem:
-                closed = False
-                witness = (x, y)
-                break
-        if not closed:
-            break
-    if closed:
-        for x in H.members:
-            if iota[x] not in mem:
-                closed = False
-                witness = (x,)
-                break
-
-    units_h = ElementSubset.from_ids(G, (theta[x] for x in H.members))
-    wide = closed and set(units_h.members) == set(G.units)
-
-    normal = wide
-    if wide:
-        for h in H.members:
-            for g in G.fibers[theta[h]]:
-                conj = int(T[int(T[g, h]), iota[g]])
-                if conj not in mem:
-                    normal = False
-                    witness = (g, h)
-                    break
-            if not normal:
-                break
-
-    return SubgroupoidReport(closed, wide, normal, units_h, witness)
-
-
-def is_brandt_subgroupoid(B: BrandtGroupoid, H: ElementSubset) -> SubgroupoidReport:
-    """Check closure of H under defined products and inversion; wide iff
-    alpha(H) = beta(H) = units. Normality uses the defined conjugates
-    g*h*inv(g), which requires alpha(h) = beta(h) = beta(g)."""
-    _require_owned(B, H)
-    mem = set(H.members)
-    T = B.table.cells
-    alpha, beta, iota = B.alpha, B.beta, B.iota
+    alpha, beta, iota = G.alpha, G.beta, G.iota
 
     witness: Optional[tuple[int, ...]] = None
     closed = True
@@ -123,24 +75,17 @@ def is_brandt_subgroupoid(B: BrandtGroupoid, H: ElementSubset) -> SubgroupoidRep
                 witness = (x,)
                 break
 
-    units_h = ElementSubset.from_ids(
-        B, [alpha[x] for x in H.members] + [beta[x] for x in H.members]
-    )
-    unit_set = set(B.units)
-    wide = (
-        closed
-        and {alpha[x] for x in H.members} == unit_set
-        and {beta[x] for x in H.members} == unit_set
-    )
+    sources = {alpha[x] for x in H.members}
+    targets = {beta[x] for x in H.members}
+    units_h = ElementSubset.from_ids(G, sources | targets)
+    wide = closed and sources == G._unit_set == targets
 
     normal = wide
     if wide:
         for h in H.members:
             if alpha[h] != beta[h]:
                 continue
-            for g in range(B.order):
-                if beta[g] != alpha[h]:
-                    continue
+            for g in G._by_target[alpha[h]]:
                 conj = int(T[int(T[g, h]), iota[g]])
                 if conj not in mem:
                     normal = False
@@ -152,19 +97,16 @@ def is_brandt_subgroupoid(B: BrandtGroupoid, H: ElementSubset) -> SubgroupoidRep
     return SubgroupoidReport(closed, wide, normal, units_h, witness)
 
 
-def isotropy_subgroupoid(G: AlmostGroupoid) -> ElementSubset:
-    """Union of all isotropy groups; for an almost groupoid this is the carrier."""
-    out: set[int] = set()
-    for fib in G.fibers.values():
-        out.update(fib)
-    return ElementSubset.from_ids(G, out)
+is_almost_subgroupoid = is_brandt_subgroupoid = is_subgroupoid
 
 
-def brandt_isotropy_subgroupoid(B: BrandtGroupoid) -> ElementSubset:
-    """Elements with equal source and target; proper in general."""
-    return ElementSubset.from_ids(
-        B, (x for x in range(B.order) if B.alpha[x] == B.beta[x])
-    )
+def isotropy_subgroupoid(G: Structure) -> ElementSubset:
+    """Union of all isotropy groups: the elements with equal source and
+    target. For an almost groupoid this is the carrier."""
+    return ElementSubset.from_ids(G, (x for fib in G.fibers.values() for x in fib))
+
+
+brandt_isotropy_subgroupoid = isotropy_subgroupoid
 
 
 def disjoint_union_subgroupoids(G: AlmostGroupoid, *subgroupoids: ElementSubset) -> ElementSubset:

@@ -101,6 +101,22 @@ def test_duplicate_names_and_reserved_tokens():
     assert "reserved" in e4.reason
 
 
+def test_morphism_files_share_the_structure_header_check():
+    src = amg.z_bundle(1, 2)
+    body = "kind: morphism\nmap: (0,0)=(0,0) (0,1)=(0,1)\nunitmap: (0,0)=(0,0)\n"
+    assert amg.parse_morphism("agt 1\n" + body, src, src).f == (0, 1)
+    for head in ("", "# only a comment\n", "agt x\n", "agt\n", "agt 1 1\n", "agt 2\n",
+                 "  AGT 1\n", "kind: morphism\n"):
+        with pytest.raises(AgtParseError) as doc_err:
+            amg.parse_document(head + "kind: almost\n")
+        with pytest.raises(AgtParseError) as map_err:
+            amg.parse_morphism(head + body, src, src)
+        got = (map_err.value.line, map_err.value.col, map_err.value.reason)
+        assert got == (doc_err.value.line, doc_err.value.col, doc_err.value.reason), head
+    with pytest.raises(AgtParseError, match=r"line 1, column 1: malformed header; expected 'agt 1'"):
+        amg.parse_morphism("agt x\n" + body, src, src)
+
+
 def test_wellformed_but_invalid_is_a_verification_failure():
     # cell (u1, u2) defined across distinct theta fibers: the file parses,
     # then the domain law fails

@@ -152,6 +152,14 @@ def test_product_and_intersect(capsys):
     assert code == 2 and "empty" in err.lower()
 
 
+def test_intersect_names_containing_commas(capsys, tmp_path):
+    path = tmp_path / "zb.agt"
+    assert invoke(capsys, "gen", "zbundle", "2", "3", "-o", str(path))[0] == 0
+    code, out, err = invoke(capsys, "intersect", str(path), "--sets",
+                            "(0,0) (0,1) (0,2) (1,0);(0,0) (0,1) (0,2)")
+    assert (code, out, err) == (0, "(0,0) (0,1) (0,2)\n", "")
+
+
 def test_morphcheck(capsys, tmp_path):
     code, out, _ = invoke(capsys, "morphcheck", ZB26, Z6GROUP, PROJ)
     assert code == 0
@@ -207,6 +215,14 @@ def test_error_paths_are_one_line_exit_2(capsys, tmp_path):
     assert code == 2 and "line 1" in err
     code, _, err = invoke(capsys, "info", str(garbled))
     assert code == 2 and err.count("\n") == 1
+
+
+def test_gen_output_into_missing_directory(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x.agt"
+    code, out, err = invoke(capsys, "gen", "z6", "-o", str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {dest}: ") and err.count("\n") == 1
+    assert not dest.parent.exists()
 
 
 def test_invalid_structure_exits_1_for_analysis(capsys, tmp_path):

@@ -171,6 +171,16 @@ def test_name_validation():
             amg.AlmostGroupoid((bad,), (0,), (0,), (0,), [[0]])
 
 
+def test_equals_sign_is_reserved_in_names():
+    # morphism files write source=target pairs, so a name with '=' could not
+    # be read back
+    for bad in ("a=b", "=", "x="):
+        with pytest.raises(ValueError, match="reserved character"):
+            amg.AlmostGroupoid((bad,), (0,), (0,), (0,), [[0]])
+        with pytest.raises(ValueError, match="reserved character"):
+            amg.BrandtGroupoid((bad,), (0,), (0,), (0,), (0,), [[0]])
+
+
 def test_carrier_bound():
     with pytest.raises(ValueError):
         amg.null_almost_groupoid(amg.MAX_CARRIER + 1)
