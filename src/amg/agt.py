@@ -240,8 +240,9 @@ def serialize(G: Structure) -> str:
     for label in G._maps:
         lines.append(f"{label}: " + " ".join(names[v] for v in getattr(G, label)))
     lines.append("table:")
-    for row in G.table.rows():
-        lines.append(" ".join("." if v is None else names[v] for v in row))
+    cell_names = list(names) + ["."]  # an undefined cell, -1, reads "."
+    for row in G.table.cells.tolist():
+        lines.append(" ".join([cell_names[v] for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,7 @@ from .core import (
     BRANDT_LAWS,
     DERIVED_IDENTITY_NAMES,
     AlmostGroupoid,
+    PartialTable,
     Structure,
     VerificationError,
     VerificationReport,
@@ -106,11 +107,12 @@ def _report_lines(report: VerificationReport, laws) -> list[str]:
 
 def cmd_verify(args) -> int:
     doc = agt.parse_document(_read_text(args.file))
+    table = PartialTable(doc.table)
     if doc.kind == "almost":
-        report = verify_almost(doc.names, doc.units, doc.theta, doc.iota, doc.table)
+        report = verify_almost(doc.names, doc.units, doc.theta, doc.iota, table)
         laws = ALMOST_LAWS
     else:
-        report = verify_brandt(doc.names, doc.units, doc.alpha, doc.beta, doc.iota, doc.table)
+        report = verify_brandt(doc.names, doc.units, doc.alpha, doc.beta, doc.iota, table)
         laws = BRANDT_LAWS
     print(f"kind: {doc.kind}")
     print(f"order: {len(doc.names)}")
@@ -119,7 +121,7 @@ def cmd_verify(args) -> int:
         print(line)
     ok = report.passed
     if ok and args.laws and doc.kind == "almost":
-        G = AlmostGroupoid(doc.names, doc.units, doc.theta, doc.iota, doc.table, check=False)
+        G = AlmostGroupoid(doc.names, doc.units, doc.theta, doc.iota, table, check=False)
         dreport = derived_identities(G)
         failed = {v.message.split(":", 1)[0] for v in dreport.violations}
         print("derived identities:")

@@ -1,4 +1,4 @@
-"""Finite Brandt groupoids and almost groupoids with exhaustive axiom checking.
+"""Finite Brandt groupoids and almost groupoids with exact axiom checking.
 
 Elements are integers 0..n-1 with a parallel tuple of display names. The
 partial multiplication is an n-by-n table whose undefined cells hold -1.
@@ -278,8 +278,92 @@ def _check_assoc(T, names, col: _Collector, law: Law) -> None:
                 return
 
 
+# Below this order the exhaustive check, n vectorised row passes, costs less
+# than the dozen numpy calls Light's test makes per generator. Measured on a
+# 2-core machine: z6_example (order 18) 0.56 ms exhaustive, 0.64 ms by
+# Light's test; z_bundle(4, 8) (order 32) 0.76 ms and 0.34 ms.
+_LIGHT_MIN_ORDER = 32
+
+
+def _runs(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elements sorted by their value v under m, and the offsets at which
+    each value's run starts: run v is order[at[v]:at[v + 1]]."""
+    order = np.argsort(m, kind="stable")
+    at = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(m, minlength=n), out=at[1:])
+    return order, at
+
+
+def _assoc_accepts(T: np.ndarray, al: np.ndarray, be: np.ndarray) -> bool:
+    """True only when the table is associative; False means "not shown".
+
+    Requires the table-domain law: T[x, y] is defined exactly when
+    be[x] = al[y]. The routine first checks anchor closure, al(x*y) = al(x)
+    and be(x*y) = be(y) on every defined cell. Given both, (x*y)*z and
+    x*(y*z) are defined together, and the elements a with (x*a)*z =
+    x*(a*z) for all composable x, z are closed under defined products:
+    x(ab) = (xa)b and ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z). So it is
+    enough to check that law for every a in a set S that generates the
+    carrier (Light's associativity test). S is picked greedily, idempotents
+    last; inside a group each pick at least doubles the subgroup generated,
+    so the test costs about fiber^2 * log(fiber) per fiber. It declines when
+    closure fails, some a fails, or the test would cost more than the n^3
+    exhaustive check.
+    """
+    n = T.shape[0]
+    anchor = al * n + be  # the pair (al, be) of each element as one number
+    block = max(1, (1 << 20) // n)  # rows per slice: keeps memory flat
+    for lo in range(0, n, block):
+        rows = T[lo : lo + block]
+        want = al[lo : lo + block, None] * n + be  # the anchors of each product
+        if ((anchor[rows] != want) & (rows >= 0)).any():
+            return False
+
+    by_beta, beta_at = _runs(be, n)
+    by_alpha, alpha_at = _runs(al, n)
+    budget = n ** 3
+    closed = np.zeros(n, dtype=bool)
+    for a in np.argsort(T.diagonal() == np.arange(n), kind="stable").tolist():
+        if closed[a]:
+            continue
+        xs = by_beta[beta_at[al[a]] : beta_at[al[a] + 1]]  # x with x*a defined
+        zs = by_alpha[alpha_at[be[a]] : alpha_at[be[a] + 1]]  # z with a*z defined
+        budget -= len(xs) * len(zs)
+        if budget < 0:
+            return False
+        xa, az = T[xs, a], T[a, zs]
+        step = max(1, (1 << 20) // max(len(zs), 1))
+        for lo in range(0, len(xs), step):
+            hi = lo + step
+            if (T[xa[lo:hi, None], zs] != T[xs[lo:hi, None], az]).any():
+                return False
+        # Grow the closure by a: first c*a for every c already generated,
+        # then right products of each new element with everything generated.
+        # Every defined word in the picks is reached when the table is
+        # associative; were one missed, it would only become a pick itself.
+        col = T[:, a]
+        fresh = np.zeros(n, dtype=bool)
+        fresh[a] = True
+        fresh[col[closed & (col >= 0)]] = True
+        fresh &= ~closed
+        while fresh.any():
+            closed |= fresh
+            new = np.flatnonzero(fresh)
+            heads = np.zeros(n, dtype=bool)  # the sources a right factor may have
+            heads[be[new]] = True
+            prods = T[new[:, None], np.flatnonzero(closed & heads[al])]
+            fresh = np.zeros(n, dtype=bool)
+            fresh[prods[prods >= 0]] = True
+            fresh &= ~closed
+    return True
+
+
 def _check_axioms(names, units, anchors, iota, table, laws, cap: Optional[int]) -> VerificationReport:
-    """The exhaustive axiom check over source alpha and target beta.
+    """The axiom check over source alpha and target beta.
+
+    Associativity is accepted by Light's test (_assoc_accepts) when the
+    table-domain law holds, n >= _LIGHT_MIN_ORDER and the test succeeds; in
+    every other case the exhaustive check runs and reports the violations.
 
     anchors holds one (label, map) pair when alpha = beta = theta, else the
     pairs for alpha and beta; labels name the maps in messages. laws is
@@ -308,7 +392,8 @@ def _check_axioms(names, units, anchors, iota, table, laws, cap: Optional[int]) 
                 break
 
     _check_domain(T, be[:, None] == al[None, :], names, col)
-    _check_assoc(T, names, col, assoc)
+    if col.counts or n < _LIGHT_MIN_ORDER or not _assoc_accepts(T, al, be):
+        _check_assoc(T, names, col, assoc)
     cells(identity, T[al, idx], idx, lambda x, d: f"{a}({names[x]})*{names[x]} = {d}, expected {names[x]}")
     cells(identity, T[idx, be], idx, lambda x, d: f"{names[x]}*{b}({names[x]}) = {d}, expected {names[x]}")
     cells(inverse, T[idx, io_], al,
@@ -354,8 +439,10 @@ def verify_almost(
     theta agrees), associativity as a definedness biconditional over every
     triple, the unit law theta(x)*x = x*theta(x) = x, the inverse law
     x*inv(x) = inv(x)*x = theta(x), and surjectivity of theta onto the unit
-    set. Returns a report listing violations with witnesses; raises
-    ValueError only for dimensionally inconsistent input.
+    set. Associativity is decided exactly by Light's test when it can
+    accept, and by the exhaustive check otherwise. Returns a report listing
+    violations with witnesses; raises ValueError only for dimensionally
+    inconsistent input.
     """
     return _check_axioms(
         names, units, (("theta", theta),), iota, table, ALMOST_LAWS, max_violations_per_law

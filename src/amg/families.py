@@ -12,7 +12,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MAX_CARRIER, AlmostGroupoid, BrandtGroupoid, PartialTable
+from .core import (
+    MAX_CARRIER,
+    AlmostGroupoid,
+    BrandtGroupoid,
+    PartialTable,
+    _assoc_accepts,
+    _LIGHT_MIN_ORDER,
+)
 
 
 class NotAGroupError(Exception):
@@ -45,19 +52,21 @@ def _check_group_table(T: np.ndarray) -> tuple[int, list[int]]:
             break
     if e is None:
         raise NotAGroupError("table has no two-sided identity")
-    inv: list[int] = []
-    for a in range(n):
-        hits = np.nonzero((T[a] == e) & (T[:, a] == e))[0]
-        if len(hits) == 0:
-            raise NotAGroupError(f"element {a} has no inverse", (a,))
-        inv.append(int(hits[0]))
-    for a in range(n):
-        left = T[T[a, :], :]
-        right = T[a, T]
-        bad = np.argwhere(left != right)
-        if len(bad):
-            b, c = (int(v) for v in bad[0])
-            raise NotAGroupError("table is not associative", (a, b, c))
+    inverse = (T == e) & (T.T == e)  # inverse[a, b]: a*b = b*a = e
+    missing = np.flatnonzero(~inverse.any(axis=1))
+    if len(missing):
+        a = int(missing[0])
+        raise NotAGroupError(f"element {a} has no inverse", (a,))
+    inv = inverse.argmax(axis=1).tolist()
+    one = np.zeros(n, dtype=np.int32)  # a group is the one-unit case
+    if n < _LIGHT_MIN_ORDER or not _assoc_accepts(T, one, one):
+        for a in range(n):  # the first failing triple, for the witness
+            left = T[T[a, :], :]
+            right = T[a, T]
+            bad = np.argwhere(left != right)
+            if len(bad):
+                b, c = (int(v) for v in bad[0])
+                raise NotAGroupError("table is not associative", (a, b, c))
     return e, inv
 
 
@@ -78,8 +87,22 @@ def from_group(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = 
     return AlmostGroupoid(tuple(names), (e,), theta, tuple(inv), PartialTable(T))
 
 
-def cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+def _block_table(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The table with the given tables down its diagonal, each shifted to
+    its own index range; every product between two blocks is undefined."""
+    order = sum(len(b) for b in blocks)
+    T = np.full((order, order), -1, dtype=np.int32)
+    lo = 0
+    for b in blocks:
+        hi = lo + len(b)
+        T[lo:hi, lo:hi] = np.where(b >= 0, b + lo, -1)
+        lo = hi
+    return T
+
+
+def cyclic_table(n: int) -> np.ndarray:
+    idx = np.arange(n, dtype=np.int32)
+    return (idx[:, None] + idx) % n
 
 
 def cyclic_group(n: int) -> AlmostGroupoid:
@@ -116,8 +139,9 @@ def null_almost_groupoid(k: int) -> AlmostGroupoid:
         raise ValueError(f"size exceeds bound {MAX_CARRIER}")
     names = tuple(f"u{i + 1}" for i in range(k))
     ident = tuple(range(k))
-    rows = [[i if i == j else None for j in range(k)] for i in range(k)]
-    return AlmostGroupoid(names, ident, ident, ident, rows)
+    T = np.full((k, k), -1, dtype=np.int32)
+    np.fill_diagonal(T, np.arange(k))
+    return AlmostGroupoid(names, ident, ident, ident, T)
 
 
 def z_bundle(m: int, n: int) -> AlmostGroupoid:
@@ -130,18 +154,12 @@ def z_bundle(m: int, n: int) -> AlmostGroupoid:
         raise ValueError("base and fiber sizes must be positive")
     if m * n > MAX_CARRIER:
         raise ValueError(f"order {m * n} exceeds bound {MAX_CARRIER}")
-    order = m * n
     names = tuple(f"({a},{c})" for a in range(m) for c in range(n))
     idx = lambda a, c: a * n + c
     units = tuple(idx(a, 0) for a in range(m))
     theta = tuple(idx(a, 0) for a in range(m) for c in range(n))
     iota = tuple(idx(a, (-c) % n) for a in range(m) for c in range(n))
-    rows = [[None] * order for _ in range(order)]
-    for a in range(m):
-        for c in range(n):
-            for d in range(n):
-                rows[idx(a, c)][idx(a, d)] = idx(a, (c + d) % n)
-    return AlmostGroupoid(names, units, theta, iota, rows)
+    return AlmostGroupoid(names, units, theta, iota, _block_table([cyclic_table(n)] * m))
 
 
 def matrix_bundle(p: int) -> AlmostGroupoid:
@@ -154,20 +172,15 @@ def matrix_bundle(p: int) -> AlmostGroupoid:
         raise ValueError(f"{p} is not prime")
     if p > 61:
         raise ValueError("prime must be at most 61")
-    units_count = p
     fiber = p - 1
-    order = units_count * fiber
     idx = lambda a, k: k * fiber + (a - 1)
     names = tuple(f"A({a},{k})" for k in range(p) for a in range(1, p))
     units = tuple(idx(1, k) for k in range(p))
     theta = tuple(idx(1, k) for k in range(p) for a in range(1, p))
     iota = tuple(idx(pow(a, -1, p), k) for k in range(p) for a in range(1, p))
-    rows = [[None] * order for _ in range(order)]
-    for k in range(p):
-        for a1 in range(1, p):
-            for a2 in range(1, p):
-                rows[idx(a1, k)][idx(a2, k)] = idx(a1 * a2 % p, k)
-    return AlmostGroupoid(names, units, theta, iota, rows)
+    a = np.arange(1, p, dtype=np.int32)
+    block = a[:, None] * a % p - 1  # idx(a1 * a2, 0)
+    return AlmostGroupoid(names, units, theta, iota, _block_table([block] * p))
 
 
 def z6_example() -> AlmostGroupoid:
@@ -201,13 +214,10 @@ def pair_groupoid(k: int) -> BrandtGroupoid:
     alpha = tuple(idx(x, x) for x in range(1, k + 1) for y in range(1, k + 1))
     beta = tuple(idx(y, y) for x in range(1, k + 1) for y in range(1, k + 1))
     iota = tuple(idx(y, x) for x in range(1, k + 1) for y in range(1, k + 1))
-    order = k * k
-    rows = [[None] * order for _ in range(order)]
-    for x in range(1, k + 1):
-        for y in range(1, k + 1):
-            for z in range(1, k + 1):
-                rows[idx(x, y)][idx(y, z)] = idx(x, z)
-    return BrandtGroupoid(names, units, alpha, beta, iota, rows)
+    T = np.full((k * k, k * k), -1, dtype=np.int32)
+    x, y, z = np.ogrid[1 : k + 1, 1 : k + 1, 1 : k + 1]
+    T[idx(x, y), idx(y, z)] = idx(x, z)
+    return BrandtGroupoid(names, units, alpha, beta, iota, T)
 
 
 def rstar_groupoid(p: int, a: int) -> BrandtGroupoid:
@@ -232,13 +242,10 @@ def rstar_groupoid(p: int, a: int) -> BrandtGroupoid:
     beta = tuple(idx(b * y % p, y) for x, y in elems)
     iota = tuple(idx(b * y % p, a * x % p) for x, y in elems)
     units = tuple(sorted({idx(x, a * x % p) for x in range(1, p)}))
-    order = q * q
-    rows = [[None] * order for _ in range(order)]
-    for x, y in elems:
-        for z, u in elems:
-            if z == b * y % p:
-                rows[idx(x, y)][idx(z, u)] = idx(x, u)
-    return BrandtGroupoid(names, units, alpha, beta, iota, rows)
+    T = np.full((q * q, q * q), -1, dtype=np.int32)
+    x, y, u = np.ogrid[1:p, 1:p, 1:p]
+    T[idx(x, y), idx(b * y % p, u)] = idx(x, u)
+    return BrandtGroupoid(names, units, alpha, beta, iota, T)
 
 
 def direct_product(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
@@ -253,16 +260,11 @@ def direct_product(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
     units = tuple(idx(u, v) for u in G1.units for v in G2.units)
     theta = tuple(idx(G1.theta[i], G2.theta[j]) for i in range(n1) for j in range(n2))
     iota = tuple(idx(G1.iota[i], G2.iota[j]) for i in range(n1) for j in range(n2))
-    T1, T2 = G1.table.cells, G2.table.cells
-    order = n1 * n2
-    rows = [[None] * order for _ in range(order)]
-    for i in range(n1):
-        for j in range(n2):
-            for k in range(n1):
-                for l in range(n2):
-                    if T1[i, k] >= 0 and T2[j, l] >= 0:
-                        rows[idx(i, j)][idx(k, l)] = idx(int(T1[i, k]), int(T2[j, l]))
-    return AlmostGroupoid(names, units, theta, iota, rows)
+    # cell ((i, j), (k, l)) of the product, as axes i, j, k, l
+    T1 = G1.table.cells[:, None, :, None]
+    T2 = G2.table.cells[None, :, None, :]
+    T = np.where((T1 >= 0) & (T2 >= 0), idx(T1, T2), -1).reshape(n1 * n2, n1 * n2)
+    return AlmostGroupoid(names, units, theta, iota, T)
 
 
 def disjoint_union(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
@@ -281,18 +283,8 @@ def disjoint_union(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
     units = tuple(G1.units) + tuple(u + n1 for u in G2.units)
     theta = tuple(G1.theta) + tuple(v + n1 for v in G2.theta)
     iota = tuple(G1.iota) + tuple(v + n1 for v in G2.iota)
-    order = n1 + n2
-    rows = [[None] * order for _ in range(order)]
-    T1, T2 = G1.table.cells, G2.table.cells
-    for i in range(n1):
-        for j in range(n1):
-            if T1[i, j] >= 0:
-                rows[i][j] = int(T1[i, j])
-    for i in range(n2):
-        for j in range(n2):
-            if T2[i, j] >= 0:
-                rows[n1 + i][n1 + j] = n1 + int(T2[i, j])
-    return AlmostGroupoid(names, units, theta, iota, rows)
+    table = _block_table([G1.table.cells, G2.table.cells])
+    return AlmostGroupoid(names, units, theta, iota, table)
 
 
 @dataclass(frozen=True)

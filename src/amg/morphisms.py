@@ -121,11 +121,17 @@ def find_isomorphism(Gs: Structure, Gt: Structure) -> Optional[MorphismPair]:
         return None
 
     n = Gs.order
-    Ts, Tt = Gs.table.cells, Gt.table.cells
+    Ts, Tt = Gs.table.cells.tolist(), Gt.table.cells.tolist()  # lists: fast cell reads
     variables = list(Gs.units) + [x for x in range(n) if not Gs.is_unit(x)]
     anchored_t: dict[tuple[int, int], list[int]] = {}
     for t in range(n):
         anchored_t.setdefault((Gt.alpha[t], Gt.beta[t]), []).append(t)
+
+    preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # x -> pairs with product x
+    for a, row in enumerate(Ts):
+        for b, p in enumerate(row):
+            if p >= 0:
+                preimages[p].append((a, b))
 
     f = [-1] * n
     used = [False] * n
@@ -147,18 +153,17 @@ def find_isomorphism(Gs: Structure, Gt: Structure) -> Optional[MorphismPair]:
         for a in assigned + [x]:
             fa = t if a == x else f[a]
             for (p, q), (fp, fq) in (((a, x), (fa, t)), ((x, a), (t, fa))):
-                ps = int(Ts[p, q])
-                pt = int(Tt[fp, fq])
+                ps = Ts[p][q]
+                pt = Tt[fp][fq]
                 if (ps >= 0) != (pt >= 0):
                     return False
                 if ps >= 0:
                     fr = t if ps == x else f[ps]
                     if fr != -1 and fr != pt:
                         return False
-        for a in assigned:
-            for b in assigned:
-                if int(Ts[a, b]) == x and int(Tt[f[a], f[b]]) != t:
-                    return False
+        for a, b in preimages[x]:
+            if f[a] != -1 and f[b] != -1 and Tt[f[a]][f[b]] != t:
+                return False
         return True
 
     def extend(k: int) -> bool:

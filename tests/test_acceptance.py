@@ -248,3 +248,15 @@ def test_criterion_9_round_trip_and_fuzz():
                 outcomes["structure"] += 1
         assert sum(outcomes.values()) == 10_000
         assert outcomes["parse_error"] > 0 and outcomes["structure"] > 0
+
+
+def test_criterion_10_largest_families_verify_at_scale():
+    with ceiling("criterion 10 (largest families build and verify)", 60.0):
+        for G in (amg.matrix_bundle(61), amg.z_bundle(64, 64), amg.z_bundle(1, 4096),
+                  amg.pair_groupoid(64), amg.cyclic_group(4096)):
+            assert G.order in (3660, 4096)
+            if G.kind == "almost":
+                report = amg.verify_almost(G.names, G.units, G.theta, G.iota, G.table)
+            else:
+                report = amg.verify_brandt(G.names, G.units, G.alpha, G.beta, G.iota, G.table)
+            assert report.passed, G
