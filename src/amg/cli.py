@@ -386,4 +386,13 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    if sys.stdout is None:  # fd 1 closed at start: print() discards, write() fails
+        sys.stdout = open(os.devnull, "w")
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: later flushes go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -113,15 +114,20 @@ class PartialTable:
             self._cells = cells._cells
             return
         if isinstance(cells, np.ndarray):
-            arr = cells.astype(np.int32, copy=True)
+            arr = cells
         else:
-            rows = [[-1 if v is None else int(v) for v in row] for row in cells]
-            arr = np.array(rows, dtype=np.int32) if rows else np.zeros((0, 0), np.int32)
+            rows = [[-1 if v is None else v for v in row] for row in cells]
+            arr = np.array(rows) if rows else np.zeros((0, 0), np.int32)
+        # checked on the input's own dtype: a cast to int32 first would wrap
+        # 2**32 to 0 and truncate 0.7 to 0
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"table must be square, got shape {arr.shape}")
         n = arr.shape[0]
         if arr.size and (arr.min() < -1 or arr.max() >= n):
             raise ValueError("table entries must be -1 (undefined) or valid indices")
+        arr = arr.astype(np.int32)
         arr.setflags(write=False)
         self._cells = arr
 
@@ -292,6 +298,25 @@ def _runs(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     at = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(m, minlength=n), out=at[1:])
     return order, at
+
+
+_SLICE = 1 << 16  # pairs per slice of a walk: bounds the temporaries of one step
+
+
+def _fiber_rows(G: "_StructureBase") -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (x, y) of each isotropy group, fibers by unit, then x, then y,
+    as slices (xs, ys) of at most _SLICE pairs (or one row) that broadcast
+    to the shape (fibers, rows, fiber size): T[xs, ys] is the block of
+    products x*y and T[ys, xs] that of y*x. Adjacent fibers of one size
+    share a slice; a fiber larger than a slice is cut into rows."""
+    for k, run in groupby(G.fibers.values(), key=len):
+        fibs = np.array(list(run), dtype=np.intp)
+        per = max(1, _SLICE // max(k * k, 1))  # fibers per slice
+        rows = max(1, _SLICE // max(k, 1))  # rows per slice
+        for lo in range(0, len(fibs), per):
+            block = fibs[lo : lo + per]
+            for r in range(0, k, rows):
+                yield block[:, r : r + rows, None], block[:, None, :]
 
 
 def _assoc_accepts(T: np.ndarray, al: np.ndarray, be: np.ndarray) -> bool:
@@ -690,12 +715,7 @@ class AlmostGroupoid(_StructureBase):
 
     def is_abelian(self) -> bool:
         T = self.table.cells
-        for fib in self.fibers.values():
-            for i, x in enumerate(fib):
-                for y in fib[i + 1 :]:
-                    if T[x, y] != T[y, x]:
-                        return False
-        return True
+        return all((T[xs, ys] == T[ys, xs]).all() for xs, ys in _fiber_rows(self))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -746,22 +766,30 @@ def brandt_to_almost(B: BrandtGroupoid) -> AlmostGroupoid:
     return AlmostGroupoid(B.names, B.units, B.alpha, B.iota, B.table)
 
 
-DERIVED_IDENTITY_NAMES = (
-    "theta-fixes-units",
-    "unit-self-product",
-    "iota-fixes-units",
-    "theta-of-product",
-    "theta-of-inverse",
-    "theta-idempotent",
-    "cancellation",
-    "inverse-of-product",
-    "double-inverse",
-    "solve-in-fiber",
-    "theta-after-iota",
-    "iota-involution",
-    "unit-uniqueness",
-    "small-powers-defined",
+# The derived identities, each with its phase, name and message template, in
+# the order the checks are made: each phase runs over its positions (units,
+# elements, rows or pairs of the fiber walk) and makes its checks at each
+# position in turn. A shared cap keeps the first failures in this order.
+_IDENTITY_CHECKS = (
+    (0, "theta-fixes-units", "theta({x}) = {t}"),
+    (0, "unit-self-product", "{x}*{x} != {x}"),
+    (0, "iota-fixes-units", "inv({x}) = {i}"),
+    (1, "theta-of-product", "theta({x}*{y}) != theta({x})"),
+    (2, "theta-of-inverse", "theta(inv({x})) != theta({x})"),
+    (2, "theta-idempotent", "theta(theta({x})) != theta({x})"),
+    (3, "cancellation", "left multiplication by {x} is not injective"),
+    (3, "cancellation", "right multiplication by {x} is not injective"),
+    (4, "inverse-of-product", "inv({x}*{y}) != inv({y})*inv({x})"),
+    (5, "double-inverse", "inv(inv({x})) != {x}"),
+    (6, "solve-in-fiber", "inv({x})*({x}*{y}) != {y}"),
+    (6, "solve-in-fiber", "({x}*{y})*inv({y}) != {x}"),
+    (7, "theta-after-iota", "(theta o iota)({x}) != theta({x})"),
+    (7, "iota-involution", "(iota o iota)({x}) != {x}"),
+    (8, "unit-uniqueness", "{x}*{y} = {y} but {x} != theta({y})"),
+    (8, "unit-uniqueness", "{x}*{y} = {x} but {y} != theta({x})"),
+    (9, "small-powers-defined", "{x}^2 or {x}^3 is undefined"),
 )
+DERIVED_IDENTITY_NAMES = tuple(dict.fromkeys(name for _, name, _ in _IDENTITY_CHECKS))
 
 
 def derived_identities(G: AlmostGroupoid, *, max_violations_per_law: Optional[int] = 100) -> VerificationReport:
@@ -773,91 +801,63 @@ def derived_identities(G: AlmostGroupoid, *, max_violations_per_law: Optional[in
     DERIVED_IDENTITY_NAMES. Closure of composability under products is
     implied by theta-of-product together with the table-domain law, and
     injectivity of iota by iota-involution; neither gets a separate check.
+    The checks on pairs run as block masks over one walk of the in-fiber
+    pairs (_fiber_rows); products exist only inside a theta fiber.
     """
-    col = _Collector(max_violations_per_law)
-    law = Law.DERIVED_IDENTITY
-    names, theta, iota = G.names, G.theta, G.iota
-    T = G.table.cells
-    n = G.order
+    cap = max_violations_per_law
+    names, T = G.names, G.table.cells
+    theta, iota = np.array(G.theta, dtype=np.int32), np.array(G.iota, dtype=np.int32)
+    units, every = np.array(G.units, dtype=np.intp), np.arange(G.order)
+    found = []  # (phase, position, check, witness) of the failures kept
+    seen = [0] * len(_IDENTITY_CHECKS)  # failures of each check
 
-    def fail(ident: str, witness: tuple[int, ...], detail: str) -> bool:
-        return col.add(law, witness, f"{ident}: {detail}")
-
-    for u in G.units:
-        if theta[u] != u:
-            fail("theta-fixes-units", (u,), f"theta({names[u]}) = {names[theta[u]]}")
-        if T[u, u] != u:
-            fail("unit-self-product", (u,), f"{names[u]}*{names[u]} != {names[u]}")
-        if iota[u] != u:
-            fail("iota-fixes-units", (u,), f"inv({names[u]}) = {names[iota[u]]}")
-
-    for u, fib in G.fibers.items():
-        for x in fib:
-            for y in fib:
-                p = int(T[x, y])
-                if p < 0 or theta[p] != theta[x]:
-                    fail("theta-of-product", (x, y), f"theta({names[x]}*{names[y]}) != theta({names[x]})")
+    def keep(check: int, bad: np.ndarray, start: int, *ids: np.ndarray) -> None:
+        # bad marks the failures of one check at consecutive positions from
+        # start, ids (broadcast to its shape) their witnesses; only the first
+        # cap failures of a check can enter the report
+        at = np.flatnonzero(bad)
+        room = len(at) if cap is None else max(cap - seen[check], 0)
+        seen[check] += len(at)
+        for i in at[:room].tolist():
+            w = tuple(int(np.broadcast_to(v, bad.shape).flat[i]) for v in ids)
+            found.append((_IDENTITY_CHECKS[check][0], start + i, check, w))
 
     # theta-of-inverse and theta-after-iota state one predicate, as do
     # double-inverse and iota-involution; each is computed once.
-    inverse_moves_theta = [theta[iota[x]] != theta[x] for x in range(n)]
-    not_involution = [iota[iota[x]] != x for x in range(n)]
+    inverse_moves_theta = theta[iota] != theta
+    not_involution = iota[iota] != every
+    square = T.diagonal()  # -1 indexes the last row, so its use is masked
+    for check, bad, ids in (
+        (0, theta[units] != units, units), (1, T[units, units] != units, units),
+        (2, iota[units] != units, units), (4, inverse_moves_theta, every),
+        (5, theta[theta] != theta, every), (9, not_involution, every),
+        (12, inverse_moves_theta, every), (13, not_involution, every),
+        (16, (square < 0) | (T[square, every] < 0), every),
+    ):
+        keep(check, bad, 0, ids)
 
-    for x in range(n):
-        if inverse_moves_theta[x]:
-            fail("theta-of-inverse", (x,), f"theta(inv({names[x]})) != theta({names[x]})")
-        if theta[theta[x]] != theta[x]:
-            fail("theta-idempotent", (x,), f"theta(theta({names[x]})) != theta({names[x]})")
+    row = pair = 0  # walk positions of the next row and the next pair
+    for xs, ys in _fiber_rows(G):
+        P = T[xs, ys]  # -1 indexes the last element below, so each use is masked
+        defined = P >= 0
+        ix, iy = iota[xs], iota[ys]
+        keep(3, ~defined | (theta[P] != theta[xs]), pair, xs, ys)
+        for check, block in ((6, P), (7, T[ys, xs])):
+            ordered = np.sort(block, axis=-1)
+            keep(check, (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1), row, xs[..., 0])
+        keep(8, defined & (iota[P] != T[iy, ix]), pair, xs, ys)
+        keep(10, defined & (T[ix, P] != ys), pair, xs, ys)
+        keep(11, defined & (T[P, iy] != xs), pair, xs, ys)
+        keep(14, (P == ys) & (xs != theta[ys]), pair, xs, ys)
+        keep(15, (P == xs) & (ys != theta[xs]), pair, xs, ys)
+        row += xs.size
+        pair += P.size
 
-    for u, fib in G.fibers.items():
-        for x in fib:
-            row = [int(T[x, y]) for y in fib]
-            if len(set(row)) != len(row):
-                fail("cancellation", (x,), f"left multiplication by {names[x]} is not injective")
-            colv = [int(T[y, x]) for y in fib]
-            if len(set(colv)) != len(colv):
-                fail("cancellation", (x,), f"right multiplication by {names[x]} is not injective")
-
-    for u, fib in G.fibers.items():
-        for x in fib:
-            for y in fib:
-                p = int(T[x, y])
-                if p >= 0 and iota[p] != T[iota[y], iota[x]]:
-                    fail("inverse-of-product", (x, y), f"inv({names[x]}*{names[y]}) != inv({names[y]})*inv({names[x]})")
-
-    for x in range(n):
-        if not_involution[x]:
-            fail("double-inverse", (x,), f"inv(inv({names[x]})) != {names[x]}")
-
-    for u, fib in G.fibers.items():
-        for x in fib:
-            for y in fib:
-                p = int(T[x, y])
-                if p < 0:
-                    continue
-                if T[iota[x], p] != y:
-                    fail("solve-in-fiber", (x, y), f"inv({names[x]})*({names[x]}*{names[y]}) != {names[y]}")
-                if T[p, iota[y]] != x:
-                    fail("solve-in-fiber", (x, y), f"({names[x]}*{names[y]})*inv({names[y]}) != {names[x]}")
-
-    for x in range(n):
-        if inverse_moves_theta[x]:
-            fail("theta-after-iota", (x,), f"(theta o iota)({names[x]}) != theta({names[x]})")
-        if not_involution[x]:
-            fail("iota-involution", (x,), f"(iota o iota)({names[x]}) != {names[x]}")
-
-    for u, fib in G.fibers.items():
-        for x in fib:
-            for y in fib:
-                p = int(T[x, y])
-                if p == y and x != theta[y]:
-                    fail("unit-uniqueness", (x, y), f"{names[x]}*{names[y]} = {names[y]} but {names[x]} != theta({names[y]})")
-                if p == x and y != theta[x]:
-                    fail("unit-uniqueness", (x, y), f"{names[x]}*{names[y]} = {names[x]} but {names[y]} != theta({names[x]})")
-
-    for a in range(n):
-        sq = int(T[a, a])
-        if sq < 0 or T[sq, a] < 0:
-            fail("small-powers-defined", (a,), f"{names[a]}^2 or {names[a]}^3 is undefined")
-
+    col = _Collector(cap)
+    for _, _, check, w in sorted(found)[:cap]:
+        _, name, template = _IDENTITY_CHECKS[check]
+        x, y = w[0], w[-1]
+        detail = template.format(x=names[x], y=names[y], t=names[G.theta[x]], i=names[G.iota[x]])
+        col.add(Law.DERIVED_IDENTITY, w, f"{name}: {detail}")
+    col.truncated = cap is not None and sum(seen) > cap
     return col.report()

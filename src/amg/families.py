@@ -17,12 +17,11 @@ from .core import (
     AlmostGroupoid,
     BrandtGroupoid,
     PartialTable,
-    _assoc_accepts,
-    _LIGHT_MIN_ORDER,
+    VerificationError,
 )
 
 
-class NotAGroupError(Exception):
+class NotAGroupError(ValueError):
     """A candidate multiplication table fails a group axiom."""
 
     def __init__(self, reason: str, witness: tuple[int, ...] = ()):
@@ -41,15 +40,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_group_table(T: np.ndarray) -> tuple[int, list[int]]:
-    """Validate a total table as a group; return (identity, inverse list)."""
+def from_group(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> AlmostGroupoid:
+    """Present a group table as an almost groupoid over its single unit. A
+    non-associative table raises NotAGroupError naming the first failing
+    triple in index order, as the verifying constructor reports it."""
+    T = np.asarray(table)
+    if T.dtype.kind not in "iu":
+        raise ValueError(f"group table entries must be integers, got dtype {T.dtype}")
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError("group table must be square")
     n = T.shape[0]
+    if n == 0 or n > MAX_CARRIER:
+        raise ValueError(f"group order must be in 1..{MAX_CARRIER}")
+    if T.min() < 0 or T.max() >= n:
+        raise NotAGroupError("table entries out of range")
+    T = T.astype(np.int32)
     idx = np.arange(n)
-    e = None
-    for c in range(n):
-        if np.array_equal(T[c], idx) and np.array_equal(T[:, c], idx):
-            e = c
-            break
+    e = next((c for c in range(n) if np.array_equal(T[c], idx) and np.array_equal(T[:, c], idx)), None)
     if e is None:
         raise NotAGroupError("table has no two-sided identity")
     inverse = (T == e) & (T.T == e)  # inverse[a, b]: a*b = b*a = e
@@ -58,33 +65,14 @@ def _check_group_table(T: np.ndarray) -> tuple[int, list[int]]:
         a = int(missing[0])
         raise NotAGroupError(f"element {a} has no inverse", (a,))
     inv = inverse.argmax(axis=1).tolist()
-    one = np.zeros(n, dtype=np.int32)  # a group is the one-unit case
-    if n < _LIGHT_MIN_ORDER or not _assoc_accepts(T, one, one):
-        for a in range(n):  # the first failing triple, for the witness
-            left = T[T[a, :], :]
-            right = T[a, T]
-            bad = np.argwhere(left != right)
-            if len(bad):
-                b, c = (int(v) for v in bad[0])
-                raise NotAGroupError("table is not associative", (a, b, c))
-    return e, inv
-
-
-def from_group(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> AlmostGroupoid:
-    """Present a group table as an almost groupoid over its single unit."""
-    T = np.asarray(table, dtype=np.int32)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError("group table must be square")
-    n = T.shape[0]
-    if n == 0 or n > MAX_CARRIER:
-        raise ValueError(f"group order must be in 1..{MAX_CARRIER}")
-    if T.min() < 0 or T.max() >= n:
-        raise NotAGroupError("table entries out of range")
-    e, inv = _check_group_table(T)
     if names is None:
         names = [f"g{i}" for i in range(n)]
     theta = tuple(e for _ in range(n))
-    return AlmostGroupoid(tuple(names), (e,), theta, tuple(inv), PartialTable(T))
+    try:
+        return AlmostGroupoid(tuple(names), (e,), theta, tuple(inv), PartialTable(T))
+    except VerificationError as exc:
+        # a total table with a two-sided identity and inverses fails only AG1
+        raise NotAGroupError("table is not associative", exc.report.violations[0].witness) from None
 
 
 def _block_table(blocks: Sequence[np.ndarray]) -> np.ndarray:

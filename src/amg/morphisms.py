@@ -12,7 +12,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Structure
+import numpy as np
+
+from .core import _SLICE, Structure
 
 ISO_SEARCH_BOUND = 64
 
@@ -54,19 +56,20 @@ def is_morphism(Gs: Structure, Gt: Structure, m: MorphismPair) -> tuple[bool, Op
     if type(Gs) is not type(Gt):
         raise TypeError("source and target must be structures of the same kind")
     _check_dims(Gs, Gt, m)
-    f, f0 = m.f, m.f0
-    for x in range(Gs.order):
-        if Gt.alpha[f[x]] != f0[Gs.alpha[x]] or Gt.beta[f[x]] != f0[Gs.beta[x]]:
+    f, f0, n = m.f, m.f0, Gs.order
+    sa, sb, ta, tb = Gs.alpha, Gs.beta, Gt.alpha, Gt.beta
+    for x, fx in enumerate(f):
+        if ta[fx] != f0[sa[x]] or tb[fx] != f0[sb[x]]:
             return False, (x,)
     Ts, Tt = Gs.table.cells, Gt.table.cells
-    for x in range(Gs.order):
-        for y in range(Gs.order):
-            p = int(Ts[x, y])
-            if p < 0:
-                continue
-            q = int(Tt[f[x], f[y]])
-            if q < 0 or q != f[p]:
-                return False, (x, y)
+    fa = np.array(f, dtype=np.intp)
+    rows = max(1, _SLICE // n)
+    for lo in range(0, n, rows):
+        P = Ts[lo : lo + rows]
+        bad = (P >= 0) & (Tt[fa[lo : lo + rows, None], fa] != fa[P])  # fa[-1] is masked
+        if bad.any():  # argmax finds the first failing cell in index order
+            x, y = divmod(int(bad.argmax()), n)
+            return False, (lo + x, y)
     return True, None
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import AlmostGroupoid, ElementSubset, Structure
+from .core import AlmostGroupoid, ElementSubset, Structure, _fiber_rows
 
 
 class EmptyIntersectionError(Exception):
@@ -145,11 +145,9 @@ def centralizer(G: AlmostGroupoid, a: int) -> ElementSubset:
 def center(G: AlmostGroupoid) -> ElementSubset:
     """Elements commuting with every member of their fiber."""
     T = G.table.cells
-    out = []
-    for fib in G.fibers.values():
-        for a in fib:
-            if all(T[x, a] == T[a, x] for x in fib):
-                out.append(a)
+    out: list[int] = []
+    for xs, ys in _fiber_rows(G):
+        out += xs[(T[xs, ys] == T[ys, xs]).all(axis=-1), 0].tolist()
     return ElementSubset.from_ids(G, out)
 
 

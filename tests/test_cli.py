@@ -1,12 +1,18 @@
 """CLI subcommands: outputs, exit codes, and determinism."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import amg
 from amg.cli import run
 from conftest import FIXTURES
+
+SRC = str(Path(amg.__file__).resolve().parents[1])
 
 Z6 = str(FIXTURES / "z6_example.agt")
 PAIR3 = str(FIXTURES / "pair3.agt")
@@ -258,6 +264,36 @@ def test_console_entry_point_subprocess():
     )
     assert proc2.returncode == 0
     assert "result: PASS" in proc2.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["info", Z6], ["center", Z6], ["gen", "zbundle", "8", "64"]],
+                         ids=["info", "center", "gen"])
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    """stdout is a pipe whose read end is closed before the child starts,
+    so its first write, or the final flush of buffered output, fails."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "amg", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("argv", [["info", Z6], ["gen", "null", "2"]], ids=["info", "gen"])
+def test_stdout_closed_at_start_is_discarded(argv):
+    """With fd 1 closed before start, Python sets sys.stdout to None; the
+    output is discarded, as print() alone would discard it."""
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "amg", *argv],
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_color_toggle(capsys, monkeypatch):

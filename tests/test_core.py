@@ -297,6 +297,13 @@ def test_partial_table_api(z6):
         amg.PartialTable([[0, 1], [2, 3]])  # entries out of range
     with pytest.raises(ValueError):
         amg.PartialTable(np.zeros((2, 3), dtype=int))
+    # range and dtype are checked before the int32 cast, which would wrap
+    # 2**32 to 0 and truncate 0.7 to 0
+    for bad in (np.array([[2**32]]), np.array([[0.7]]), [[2**32]], [[2**70]], [[0.7]]):
+        with pytest.raises(ValueError):
+            amg.PartialTable(bad)
+    with pytest.raises(ValueError):
+        amg.AlmostGroupoid(("a",), (0,), (0,), (0,), np.array([[2**32]]))
 
 
 def test_structures_are_immutable(z6):

@@ -1,5 +1,6 @@
 """Built-in families: golden values, bounds, and combinator laws."""
 
+import numpy as np
 import pytest
 
 import amg
@@ -103,6 +104,11 @@ def test_from_group_rejects_non_groups():
     with pytest.raises(amg.NotAGroupError) as err:
         amg.from_group(loop)
     assert len(err.value.witness) == 3
+    # entries are range-checked before the int32 cast, which would read
+    # 2**32 as 0, the trivial group
+    for bad in (np.array([[2**32]]), [[2**32]], np.array([[0.7]]), [[0.5]]):
+        with pytest.raises(ValueError):
+            amg.from_group(bad)
 
 
 def test_z_bundle():

@@ -234,13 +234,20 @@ def test_fast_path_declines_when_closure_fails():
     assert exhaustive_assoc(M, G.names).items
 
 
-@pytest.mark.parametrize("G,args", [(amg.z_bundle(8, 64), ["--laws"]), (amg.pair_groupoid(24), [])],
-                         ids=["zbundle-laws", "pair"])
+# The one-fiber product, `amg gen product group-s3 group-zn:85`, is where the
+# fiber walk of derived_identities and is_abelian does all its work.
+PRODUCT_510 = amg.direct_product(amg.symmetric_group_3(), amg.cyclic_group(85))
+
+
+@pytest.mark.parametrize("G,args", [(amg.z_bundle(8, 64), ["verify", "--laws"]),
+                                    (amg.pair_groupoid(24), ["verify"]),
+                                    (PRODUCT_510, ["verify", "--laws"]), (PRODUCT_510, ["info"])],
+                         ids=["zbundle-laws", "pair", "product-laws", "product-info"])
 def test_verify_does_not_import_numpy_ma(tmp_path, G, args):
     path = tmp_path / "ladder.agt"
     path.write_text(amg.serialize(G), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "amg", "verify", str(path), *args],
+        [sys.executable, "-X", "importtime", "-m", "amg", args[0], str(path), *args[1:]],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
