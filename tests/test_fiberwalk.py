@@ -6,7 +6,7 @@ over one walk of the in-fiber pairs, and is_morphism one row-sliced block
 compare. The loops they replaced are kept here verbatim as oracles; reports,
 verdicts and witnesses must be equal, on verified structures and on
 unverified mutants, at every cap and with the slice size made small enough
-that every fiber spans several slices.
+that fibers span several slices.
 """
 
 import random
@@ -228,6 +228,7 @@ def assert_walk_equals_loops(G: AlmostGroupoid, label: str) -> None:
     for cap in CAPS:
         got = amg.derived_identities(G, max_violations_per_law=cap)
         assert got == derived_identities_loops(G, max_violations_per_law=cap), (label, cap)
+        assert all(type(w) is int for v in got.violations for w in v.witness)
     assert G.is_abelian() == is_abelian_loops(G), label
     assert amg.center(G) == center_loops(G), label
 
