@@ -213,10 +213,11 @@ def parse_document(text: str) -> AgtDocument:
     )
 
 
-def build_structure(doc: AgtDocument) -> Structure:
-    """Run the verifying constructor for a parsed document."""
+def build_structure(doc: AgtDocument, check: bool = True) -> Structure:
+    """Run the constructor for a parsed document; it verifies the structure
+    unless check is False, as the constructors' own check does."""
     cls = AlmostGroupoid if doc.kind == "almost" else BrandtGroupoid
-    return cls(doc.names, doc.units, *(getattr(doc, label) for label in cls._maps), doc.table)
+    return cls(doc.names, doc.units, *(getattr(doc, label) for label in cls._maps), doc.table, check)
 
 
 def parse(text: str) -> Structure:

@@ -9,6 +9,7 @@ to off when stdout is not a terminal.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from typing import Optional
@@ -19,13 +20,10 @@ from .core import (
     BRANDT_LAWS,
     DERIVED_IDENTITY_NAMES,
     AlmostGroupoid,
-    PartialTable,
     Structure,
     VerificationError,
     VerificationReport,
     derived_identities,
-    verify_almost,
-    verify_brandt,
 )
 from .families import FamilySpec, build_family, parse_family_token
 from .morphisms import find_isomorphism, is_isomorphism, is_morphism
@@ -62,9 +60,11 @@ def _mark(ok: bool, yes: str = "OK", no: str = "FAIL") -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            if isinstance(sys.stdin, io.TextIOWrapper):  # decode as open() below does
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
@@ -106,22 +106,15 @@ def _report_lines(report: VerificationReport, laws) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    doc = agt.parse_document(_read_text(args.file))
-    table = PartialTable(doc.table)
-    if doc.kind == "almost":
-        report = verify_almost(doc.names, doc.units, doc.theta, doc.iota, table)
-        laws = ALMOST_LAWS
-    else:
-        report = verify_brandt(doc.names, doc.units, doc.alpha, doc.beta, doc.iota, table)
-        laws = BRANDT_LAWS
-    print(f"kind: {doc.kind}")
-    print(f"order: {len(doc.names)}")
-    print(f"units: {len(doc.units)}")
-    for line in _report_lines(report, laws):
+    G = agt.build_structure(agt.parse_document(_read_text(args.file)), check=False)
+    report = G._verify()
+    print(f"kind: {G.kind}")
+    print(f"order: {G.order}")
+    print(f"units: {len(G.units)}")
+    for line in _report_lines(report, ALMOST_LAWS if G.kind == "almost" else BRANDT_LAWS):
         print(line)
     ok = report.passed
-    if ok and args.laws and doc.kind == "almost":
-        G = AlmostGroupoid(doc.names, doc.units, doc.theta, doc.iota, table, check=False)
+    if ok and args.laws and G.kind == "almost":
         dreport = derived_identities(G)
         failed = {v.message.split(":", 1)[0] for v in dreport.violations}
         print("derived identities:")
@@ -150,17 +143,10 @@ def cmd_gen(args) -> int:
     if name in ("product", "union"):
         if len(args.params) != 2:
             raise CliError(f"{name} takes two family specs, e.g. zbundle:2:2 null:3")
-        try:
-            subs = tuple(parse_family_token(t) for t in args.params)
-            G = build_family(FamilySpec(name, (), subs))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        subs = tuple(parse_family_token(t) for t in args.params)
+        G = build_family(FamilySpec(name, (), subs))
     else:
-        try:
-            spec = parse_family_token(":".join([name] + list(args.params)))
-            G = build_family(spec)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        G = build_family(parse_family_token(":".join([name] + list(args.params))))
     text = agt.serialize(G)
     if args.output:
         try:
@@ -173,12 +159,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _need_almost(G: Structure, what: str) -> AlmostGroupoid:
-    if not isinstance(G, AlmostGroupoid):
-        raise CliError(f"{what} requires an almost groupoid file")
-    return G
-
-
 def cmd_isotropy(args) -> int:
     G = _load(args.file)
     u = _resolve(G, args.unit)
@@ -189,19 +169,19 @@ def cmd_isotropy(args) -> int:
 
 
 def cmd_center(args) -> int:
-    G = _need_almost(_load(args.file), "center")
+    G = _load(args.file)
     _print_names(center(G))
     return 0
 
 
 def cmd_centralizer(args) -> int:
-    G = _need_almost(_load(args.file), "centralizer")
+    G = _load(args.file)
     _print_names(centralizer(G, _resolve(G, args.element)))
     return 0
 
 
 def cmd_closure(args) -> int:
-    G = _need_almost(_load(args.file), "closure")
+    G = _load(args.file)
     ids = [_resolve(G, s) for s in args.elements]
     _print_names(generated_subgroupoid(G, G.subset(ids)))
     return 0
@@ -220,7 +200,7 @@ def cmd_subcheck(args) -> int:
 
 
 def cmd_product(args) -> int:
-    G = _need_almost(_load(args.file), "product")
+    G = _load(args.file)
     H = G.subset(_resolve(G, s) for s in args.h)
     K = G.subset(_resolve(G, s) for s in args.k)
     _print_names(set_product(G, H, K))
@@ -228,7 +208,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    G = _need_almost(_load(args.file), "intersect")
+    G = _load(args.file)
     groups = [part.strip() for part in args.sets.split(";") if part.strip()]
     if not groups:
         raise CliError("--sets needs at least one group of element names")
@@ -264,10 +244,7 @@ def cmd_morphcheck(args) -> int:
 
 def cmd_iso(args) -> int:
     Gs, Gt = _load_pair(args)
-    try:
-        m = find_isomorphism(Gs, Gt)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    m = find_isomorphism(Gs, Gt)
     if m is None:
         print("isomorphic: no")
         return 1
@@ -280,7 +257,9 @@ def cmd_iso(args) -> int:
 def cmd_export(args) -> int:
     if not args.tables:
         raise CliError("export requires --tables")
-    G = _need_almost(_load(args.file), "export --tables")
+    G = _load(args.file)
+    if G.kind != "almost":  # the tables render theta
+        raise CliError("export --tables requires an almost groupoid file")
     sys.stdout.write(agt.render_tables(G))
     return 0
 
@@ -390,9 +369,13 @@ def main() -> None:
         sys.stdout = open(os.devnull, "w")
     try:
         code = run()
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-    except BrokenPipeError:
+        sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
+    except OSError as exc:
         # the recipe of Python's signal docs: later flushes go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+        if isinstance(exc, BrokenPipeError):  # the reader has exited: stop quietly
+            code = 1
+        else:
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+            code = 2
     sys.exit(code)

@@ -177,7 +177,7 @@ def _norm_names(names) -> tuple[str, ...]:
     for s in out:
         if not s:
             raise ValueError("element names must be non-empty")
-        if any(c.isspace() for c in s):
+        if s.split() != [s]:  # str.split cuts at exactly the str.isspace characters
             raise ValueError(f"element name {s!r} contains whitespace")
         if "#" in s or "." in s or "=" in s:
             raise ValueError(f"element name {s!r} contains a reserved character")
@@ -697,9 +697,6 @@ class AlmostGroupoid(_StructureBase):
 
     def _verify(self) -> VerificationReport:
         return verify_almost(self.names, self.units, self.theta, self.iota, self.table)
-
-    def theta_of(self, x: int) -> int:
-        return self.theta[x]
 
     def power(self, a: int, n: int) -> int:
         """n-th power of a with a^0 = theta(a) and a^-n = (inv a)^n."""

@@ -17,6 +17,7 @@ from .core import (
     AlmostGroupoid,
     BrandtGroupoid,
     PartialTable,
+    Structure,
     VerificationError,
 )
 
@@ -236,27 +237,33 @@ def rstar_groupoid(p: int, a: int) -> BrandtGroupoid:
     return BrandtGroupoid(names, units, alpha, beta, iota, T)
 
 
-def direct_product(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
-    """Componentwise product; pairs compose iff both components compose."""
+def _assemble(G1: Structure, G2: Structure, names, table, combine) -> Structure:
+    """Units and maps combine(G1's, G2's), almost when both operands are."""
+    m = lambda label: combine(getattr(G1, label), getattr(G2, label))
+    if G1.kind == G2.kind == "almost":
+        return AlmostGroupoid(names, m("units"), m("alpha"), m("iota"), table)
+    return BrandtGroupoid(names, m("units"), m("alpha"), m("beta"), m("iota"), table)
+
+
+def direct_product(G1: Structure, G2: Structure) -> Structure:
+    """Componentwise product; pairs compose iff both components compose. By
+    Brandt's theorem, direct_product(pair_groupoid(k), G) for a group G is
+    the connected Brandt groupoid with k units and isotropy group G."""
     n1, n2 = G1.order, G2.order
     if n1 * n2 > MAX_CARRIER:
         raise ValueError(f"order {n1 * n2} exceeds bound {MAX_CARRIER}")
-    idx = lambda i, j: i * n2 + j
     names = tuple(f"({G1.names[i]},{G2.names[j]})" for i in range(n1) for j in range(n2))
     if len(set(names)) != len(names):
         raise ValueError("component names collide under pairing")
-    units = tuple(idx(u, v) for u in G1.units for v in G2.units)
-    theta = tuple(idx(G1.theta[i], G2.theta[j]) for i in range(n1) for j in range(n2))
-    iota = tuple(idx(G1.iota[i], G2.iota[j]) for i in range(n1) for j in range(n2))
     # cell ((i, j), (k, l)) of the product, as axes i, j, k, l
     T1 = G1.table.cells[:, None, :, None]
     T2 = G2.table.cells[None, :, None, :]
-    T = np.where((T1 >= 0) & (T2 >= 0), idx(T1, T2), -1).reshape(n1 * n2, n1 * n2)
-    return AlmostGroupoid(names, units, theta, iota, T)
+    T = np.where((T1 >= 0) & (T2 >= 0), T1 * n2 + T2, -1).reshape(n1 * n2, n1 * n2)
+    return _assemble(G1, G2, names, T, lambda m1, m2: tuple(a * n2 + b for a in m1 for b in m2))
 
 
-def disjoint_union(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
-    """Tagged union with no cross products; unit counts add.
+def disjoint_union(G1: Structure, G2: Structure) -> Structure:
+    """Tagged union with no cross products; G2's units and maps are shifted.
 
     When the two name sets collide, every name is prefixed with "L:" or
     "R:" to keep them distinct.
@@ -268,11 +275,8 @@ def disjoint_union(G1: AlmostGroupoid, G2: AlmostGroupoid) -> AlmostGroupoid:
         names = tuple(f"L:{s}" for s in G1.names) + tuple(f"R:{s}" for s in G2.names)
     else:
         names = G1.names + G2.names
-    units = tuple(G1.units) + tuple(u + n1 for u in G2.units)
-    theta = tuple(G1.theta) + tuple(v + n1 for v in G2.theta)
-    iota = tuple(G1.iota) + tuple(v + n1 for v in G2.iota)
     table = _block_table([G1.table.cells, G2.table.cells])
-    return AlmostGroupoid(names, units, theta, iota, table)
+    return _assemble(G1, G2, names, table, lambda m1, m2: tuple(m1) + tuple(v + n1 for v in m2))
 
 
 @dataclass(frozen=True)
@@ -352,7 +356,5 @@ def build_family(spec: FamilySpec):
         if len(spec.subs) != 2:
             raise ValueError(f"{fam} takes exactly two sub-specs")
         g1, g2 = (build_family(s) for s in spec.subs)
-        if not isinstance(g1, AlmostGroupoid) or not isinstance(g2, AlmostGroupoid):
-            raise ValueError(f"{fam} requires almost groupoid operands")
         return direct_product(g1, g2) if fam == "product" else disjoint_union(g1, g2)
     raise ValueError(f"unknown family {fam!r}")

@@ -1,4 +1,5 @@
-"""Substructure constructions and predicates for finite (almost) groupoids.
+"""Substructure constructions and predicates for finite groupoids of both
+kinds, written over composability: x*y is defined iff beta(x) = alpha(y).
 
 All operations are pure and read-only over verified structures; results are
 ElementSubset values sorted by element index.
@@ -48,10 +49,9 @@ def _require_owned(G: Structure, H: ElementSubset) -> None:
 def is_subgroupoid(G: Structure, H: ElementSubset) -> SubgroupoidReport:
     """Check closure of H under defined products and inversion, wideness, normality.
 
-    The unit set of H is its image under alpha and beta (theta for an almost
-    groupoid); H is wide when both images are the whole unit set. Normality
-    uses the defined conjugates g*h*inv(g), which requires alpha(h) = beta(h)
-    = beta(g); for an almost groupoid, g and h in the same fiber.
+    The unit set of H is its image under alpha and beta; H is wide when both
+    images are the whole unit set. Normality uses the defined conjugates
+    g*h*inv(g), which requires alpha(h) = beta(h) = beta(g).
     """
     _require_owned(G, H)
     mem = set(H.members)
@@ -101,15 +101,15 @@ is_almost_subgroupoid = is_brandt_subgroupoid = is_subgroupoid
 
 
 def isotropy_subgroupoid(G: Structure) -> ElementSubset:
-    """Union of all isotropy groups: the elements with equal source and
-    target. For an almost groupoid this is the carrier."""
+    """Union of all isotropy groups: the elements x with alpha(x) = beta(x).
+    For an almost groupoid this is the carrier."""
     return ElementSubset.from_ids(G, (x for fib in G.fibers.values() for x in fib))
 
 
 brandt_isotropy_subgroupoid = isotropy_subgroupoid
 
 
-def disjoint_union_subgroupoids(G: AlmostGroupoid, *subgroupoids: ElementSubset) -> ElementSubset:
+def disjoint_union_subgroupoids(G: Structure, *subgroupoids: ElementSubset) -> ElementSubset:
     """Union of a pairwise-disjoint family of subgroupoids of G.
 
     Raises ValueError when members overlap or fail the subgroupoid check;
@@ -120,7 +120,7 @@ def disjoint_union_subgroupoids(G: AlmostGroupoid, *subgroupoids: ElementSubset)
         raise ValueError("at least one subgroupoid required")
     seen: set[int] = set()
     for H in subgroupoids:
-        rep = is_almost_subgroupoid(G, H)
+        rep = is_subgroupoid(G, H)
         if not rep.is_subgroupoid:
             raise ValueError(f"input {H!r} is not a subgroupoid (witness {rep.witness})")
         overlap = seen & set(H.members)
@@ -128,22 +128,23 @@ def disjoint_union_subgroupoids(G: AlmostGroupoid, *subgroupoids: ElementSubset)
             raise ValueError(f"inputs are not disjoint; shared element {G.names[min(overlap)]}")
         seen.update(H.members)
     out = ElementSubset.from_ids(G, seen)
-    if not is_almost_subgroupoid(G, out).is_subgroupoid:
+    if not is_subgroupoid(G, out).is_subgroupoid:
         raise RuntimeError("disjoint union failed the subgroupoid check")
     return out
 
 
-def centralizer(G: AlmostGroupoid, a: int) -> ElementSubset:
-    """Elements of the isotropy group of theta(a) commuting with a."""
+def centralizer(G: Structure, a: int) -> ElementSubset:
+    """Elements g of the isotropy group at alpha(a) with g*a = a*g; none
+    when alpha(a) != beta(a), as a*g is then undefined."""
     if not 0 <= a < G.order:
         raise IndexError(f"element index out of range: {a}")
     T = G.table.cells
-    fib = G.fibers[G.theta[a]]
+    fib = G.fibers[G.alpha[a]]
     return ElementSubset.from_ids(G, (g for g in fib if T[g, a] == T[a, g]))
 
 
-def center(G: AlmostGroupoid) -> ElementSubset:
-    """Elements commuting with every member of their fiber."""
+def center(G: Structure) -> ElementSubset:
+    """Elements commuting with every member of their isotropy group."""
     T = G.table.cells
     out: list[int] = []
     for xs, ys in _fiber_rows(G):
@@ -151,32 +152,32 @@ def center(G: AlmostGroupoid) -> ElementSubset:
     return ElementSubset.from_ids(G, out)
 
 
-def set_product(G: AlmostGroupoid, H: ElementSubset, K: ElementSubset) -> ElementSubset:
+def set_product(G: Structure, H: ElementSubset, K: ElementSubset) -> ElementSubset:
     """All defined products h*k with h in H and k in K, deduplicated and sorted."""
     _require_owned(G, H)
     _require_owned(G, K)
     T = G.table.cells
-    theta = G.theta
+    alpha, beta = G.alpha, G.beta
     out = {
         int(T[h, k])
         for h in H.members
         for k in K.members
-        if theta[h] == theta[k]
+        if beta[h] == alpha[k]
     }
     return ElementSubset.from_ids(G, out)
 
 
-def hk_commutes(G: AlmostGroupoid, H: ElementSubset, K: ElementSubset) -> bool:
+def hk_commutes(G: Structure, H: ElementSubset, K: ElementSubset) -> bool:
     """True iff the set products HK and KH coincide."""
     return set_product(G, H, K).members == set_product(G, K, H).members
 
 
-def intersect_subgroupoids(G: AlmostGroupoid, family: Sequence[ElementSubset]) -> ElementSubset:
+def intersect_subgroupoids(G: Structure, family: Sequence[ElementSubset]) -> ElementSubset:
     """Intersection of a family of subgroupoids; empty intersections are an error."""
     if not family:
         raise ValueError("at least one subgroupoid required")
     for H in family:
-        rep = is_almost_subgroupoid(G, H)
+        rep = is_subgroupoid(G, H)
         if not rep.is_subgroupoid:
             raise ValueError(f"input {H!r} is not a subgroupoid (witness {rep.witness})")
     common = set(family[0].members)
@@ -187,34 +188,37 @@ def intersect_subgroupoids(G: AlmostGroupoid, family: Sequence[ElementSubset]) -
     return ElementSubset.from_ids(G, common)
 
 
-def generated_subgroupoid(G: AlmostGroupoid, S: ElementSubset) -> ElementSubset:
-    """Smallest subgroupoid containing S, by worklist closure under
-    multiplication and inversion."""
+def generated_subgroupoid(G: Structure, S: ElementSubset) -> ElementSubset:
+    """Smallest subgroupoid containing S, by worklist closure under inversion
+    and the defined products x*y and y*x of each new x with the members y."""
     _require_owned(G, S)
     T = G.table.cells
-    theta, iota = G.theta, G.iota
+    alpha, beta, iota = G.alpha, G.beta, G.iota
     members = set(S.members)
     queue = list(S.members)
     while queue:
         x = queue.pop()
-        ix = iota[x]
-        if ix not in members:
-            members.add(ix)
-            queue.append(ix)
-        for y in tuple(members):
-            if theta[x] == theta[y]:
-                for p in (int(T[x, y]), int(T[y, x])):
-                    if p not in members:
-                        members.add(p)
-                        queue.append(p)
+        ax, bx = alpha[x], beta[x]
+        new = {iota[x]}
+        for y in members:
+            if bx == alpha[y]:
+                new.add(int(T[x, y]))
+            if beta[y] == ax:
+                new.add(int(T[y, x]))
+        new -= members
+        members |= new
+        queue += new
     return ElementSubset.from_ids(G, members)
 
 
-def cyclic_subgroupoid(G: AlmostGroupoid, a: int) -> ElementSubset:
-    """All powers of a; a cyclic subgroup of the isotropy group at theta(a)."""
+def cyclic_subgroupoid(G: Structure, a: int) -> ElementSubset:
+    """All powers of a, a cyclic subgroup of the isotropy group at alpha(a);
+    a, inv(a) and their units when alpha(a) != beta(a)."""
     if not 0 <= a < G.order:
         raise IndexError(f"element index out of range: {a}")
-    e = G.theta[a]
+    e = G.alpha[a]
+    if G.beta[a] != e:
+        return ElementSubset.from_ids(G, (a, G.iota[a], e, G.beta[a]))
     out = {e}
     cur = a
     while cur != e:

@@ -36,6 +36,13 @@ def builtin_catalog() -> list[tuple[str, amg.AlmostGroupoid]]:
     return out
 
 
+def brandt_products() -> list[tuple[str, amg.BrandtGroupoid]]:
+    """Connected Brandt groupoids whose isotropy groups are not trivial:
+    `amg gen product pair:3 group-s3` and `product pair:2 group-zn:4`."""
+    return [("pair3_x_s3", amg.direct_product(amg.pair_groupoid(3), amg.symmetric_group_3())),
+            ("pair2_x_z4", amg.direct_product(amg.pair_groupoid(2), amg.cyclic_group(4)))]
+
+
 @pytest.fixture(scope="session")
 def builtins():
     return builtin_catalog()

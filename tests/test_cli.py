@@ -112,8 +112,8 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and "not prime" in err
     code, _, err = invoke(capsys, "gen", "nosuch")
     assert code == 2
-    code, _, err = invoke(capsys, "gen", "union", "pair:2", "null:1")
-    assert code == 2 and "almost" in err
+    code, out, _ = invoke(capsys, "gen", "union", "pair:2", "null:1")
+    assert code == 0 and "kind: brandt" in out
 
 
 def test_isotropy_and_centralizer(capsys):
@@ -303,3 +303,55 @@ def test_color_toggle(capsys, monkeypatch):
     monkeypatch.setenv("AMG_COLOR", "0")
     code, out, _ = invoke(capsys, "verify", Z6)
     assert "\x1b[" not in out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["gen", "z6"], ["info", Z6]], ids=["gen", "info"])
+def test_failed_stdout_write_is_a_one_line_error(argv, unbuffered):
+    """A write to stdout that fails (here: no space left on the device)
+    ends in one diagnostic line and exit 2, as a failed `gen -o` does."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "amg", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload,code,message", [
+    (b"agt 1\n\xff\n", 2, "error: cannot read {}: not valid UTF-8\n"),
+    (open(Z6, "rb").read().replace(b"\n", b"\r"), 0, ""),
+], ids=["invalid-utf8", "cr-newlines"])
+def test_stdin_is_decoded_as_a_file_is(tmp_path, payload, code, message):
+    """Strict UTF-8 and universal newlines for `-` as for a path, also under
+    the POSIX locale, where Python reads stdin with surrogate escapes."""
+    path = tmp_path / "input.agt"
+    path.write_bytes(payload)
+    env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C"}
+    for arg, stdin in ((str(path), None), ("-", payload)):
+        proc = subprocess.run([sys.executable, "-m", "amg", "verify", arg], input=stdin,
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr.decode()) == (code, message.format(arg)), arg
+
+
+def test_substructure_commands_take_brandt_files(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "centralizer", PAIR3, "(1,2)")
+    assert (code, out) == (0, "\n")  # a non-loop arrow commutes with nothing
+    code, out, _ = invoke(capsys, "product", PAIR3, "--h", "(1,2)", "--k", "(2,3)", "(2,1)", "(3,1)")
+    assert (code, out) == (0, "(1,1) (1,3)\n")
+    code, out, _ = invoke(capsys, "intersect", PAIR3, "--sets", "(1,1) (2,2) (3,3) (1,2) (2,1);(1,1) (2,2) (3,3)")
+    assert (code, out) == (0, "(1,1) (2,2) (3,3)\n")
+    path = tmp_path / "pair3_s3.agt"
+    assert invoke(capsys, "gen", "product", "pair:3", "group-s3", "-o", str(path))[0] == 0
+    code, out, _ = invoke(capsys, "centralizer", str(path), "((2,2),(123))")
+    assert (code, out) == (0, "((2,2),e) ((2,2),(123)) ((2,2),(132))\n")
+    code, out, _ = invoke(capsys, "center", str(path))
+    assert (code, out) == (0, "((1,1),e) ((2,2),e) ((3,3),e)\n")
+    code, out, _ = invoke(capsys, "closure", str(path), "((1,2),(12))")
+    assert (code, out) == (0, "((1,1),e) ((1,2),(12)) ((2,1),(12)) ((2,2),e)\n")
+    code, _, err = invoke(capsys, "export", str(path), "--tables")
+    assert (code, err) == (2, "error: export --tables requires an almost groupoid file\n")

@@ -246,10 +246,10 @@ def test_family_spec_round_trip():
         amg.parse_family_token("product:null:1")
     with pytest.raises(ValueError):
         amg.parse_family_token("zbundle:x:y")
-    with pytest.raises(ValueError):
-        amg.build_family(
-            amg.FamilySpec("union", (), (amg.FamilySpec("pair", (2,)), amg.FamilySpec("null", (1,))))
-        )
+    mixed = amg.build_family(
+        amg.FamilySpec("union", (), (amg.FamilySpec("pair", (2,)), amg.FamilySpec("null", (1,))))
+    )
+    assert mixed.kind == "brandt"
 
 
 def test_prime_check():

@@ -18,7 +18,7 @@ import pytest
 import amg
 from amg import core
 from amg.core import Law, _assoc_accepts, _check_assoc, _Collector
-from conftest import builtin_catalog
+from conftest import brandt_products, builtin_catalog
 
 SRC = str(Path(core.__file__).resolve().parents[1])
 
@@ -28,6 +28,7 @@ def structures():
     out += [(f"pair{k}", amg.pair_groupoid(k)) for k in range(1, 7)]
     out += [("rstar5_2", amg.rstar_groupoid(5, 2)), ("rstar7_3", amg.rstar_groupoid(7, 3))]
     out += [(f"brandt_{name}", amg.almost_to_brandt(G)) for name, G in builtin_catalog()]
+    out += brandt_products()
     # at least _LIGHT_MIN_ORDER elements, so that verification takes the fast path
     out += [("zb4_8", amg.z_bundle(4, 8)), ("brandt_zb4_8", amg.almost_to_brandt(amg.z_bundle(4, 8)))]
     return out

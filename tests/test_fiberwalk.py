@@ -19,7 +19,7 @@ import amg
 from amg import core, morphisms
 from amg.core import AlmostGroupoid, ElementSubset, Law, Structure, VerificationReport, _Collector
 from amg.morphisms import MorphismPair, _check_dims
-from conftest import builtin_catalog
+from conftest import brandt_products, builtin_catalog
 
 
 # ------------------------------------------------------------ loop oracles
@@ -278,6 +278,7 @@ def morphism_cases():
     almost = [G for _, G in STRUCTURES]
     brandt = [amg.pair_groupoid(k) for k in range(1, 5)] + [amg.rstar_groupoid(5, 2)]
     brandt += [amg.almost_to_brandt(G) for G in almost[::3]]
+    brandt += [B for _, B in brandt_products()]
     rng = random.Random(5)
     for G in almost + brandt:
         perm = list(range(G.order))
@@ -309,3 +310,25 @@ def test_is_morphism_equals_loop(slice_size):
             assert got[1] is None or all(type(w) is int for w in got[1])
             failures += not got[0]
     assert failures > 100
+
+
+BRANDT = [(f"pair{k}", amg.pair_groupoid(k)) for k in (2, 3)] + brandt_products()
+
+
+@pytest.mark.parametrize("name,B", BRANDT, ids=[name for name, _ in BRANDT])
+def test_center_equals_loop_on_brandt_groupoids(name, B, slice_size):
+    assert amg.center(B) == center_loops(B), name
+
+
+def test_find_isomorphism_of_relabelled_brandt_product():
+    """pair(2) x Z4 has isotropy groups of order 4, so the search must match
+    element orders within them; pair(2) x Klein four has the same shape and
+    other element orders."""
+    P = dict(brandt_products())["pair2_x_z4"]
+    perm = list(range(P.order))
+    random.Random(16).shuffle(perm)
+    copy = relabelled(P, perm)
+    m = amg.find_isomorphism(P, copy)
+    assert m is not None and amg.is_isomorphism(P, copy, m)
+    other = amg.direct_product(amg.pair_groupoid(2), amg.klein_four_group())
+    assert amg.find_isomorphism(P, other) is None

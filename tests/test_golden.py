@@ -9,7 +9,9 @@ mutants of three of them, relabelled copies and morphism files:
 - the map find_isomorphism returns for pairs of built-in structures.
 
 The tests replay every case and require equality. Rewrite the snapshot
-(python tests/test_golden.py) only when a change of output is intended.
+(python tests/test_golden.py) only when a change of output is intended; the
+rewrite first lists, on stderr, the argv of every CLI case whose record
+changed and the numbers of changed reports and isomorphism maps.
 """
 
 from __future__ import annotations
@@ -261,9 +263,35 @@ def test_isomorphism_maps_match_snapshot(snapshot):
         assert json.loads(json.dumps(got)) == case["found"], (case["source"], case["target"])
 
 
+# ------------------------------------------------------------------ re-recording
+
+KEYS = {
+    "cli": lambda r: json.dumps(r["argv"]),
+    "reports": lambda r: json.dumps([r["file"], r["cap"]]),
+    "isomorphisms": lambda r: json.dumps([r["source"], r["target"], r["perm"]]),
+}
+
+
+def changed(old: dict, new: dict, part: str) -> tuple[list, int]:
+    """The records of new[part] that are absent from old or differ from the
+    old record with the same key, and the number of old records that new
+    no longer has."""
+    key = KEYS[part]
+    before = {key(r): r for r in old.get(part, [])}
+    after = {key(r) for r in new[part]}
+    return [r for r in new[part] if before.get(key(r)) != r], len(before.keys() - after)
+
+
 if __name__ == "__main__":
     os.environ["AMG_COLOR"] = "0"
-    data = record()
+    data = json.loads(json.dumps(record()))  # tuples become lists, as in the file
+    old = json.loads(SNAPSHOT.read_text(encoding="utf-8")) if SNAPSHOT.exists() else {}
+    for part in KEYS:
+        diff, dropped = changed(old, data, part)
+        if part == "cli":
+            for r in diff:
+                print("changed: " + " ".join(r["argv"]), file=sys.stderr)
+        print(f"{part}: {len(diff)} changed or new, {dropped} dropped", file=sys.stderr)
     SNAPSHOT.parent.mkdir(exist_ok=True)
     with open(SNAPSHOT, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=0, sort_keys=True)

@@ -8,7 +8,7 @@ import pytest
 
 import amg
 from amg.core import Law
-from conftest import builtin_catalog
+from conftest import brandt_products, builtin_catalog
 
 CATALOG = builtin_catalog()
 LAW_PAIRS = {
@@ -89,6 +89,55 @@ def test_subgroupoid_reports_agree_across_presentations(name, G):
     assert amg.isotropy_subgroupoid(G).members == amg.isotropy_subgroupoid(B).members
     for u in G.units:
         assert G.isotropy_group(u).members == B.isotropy_group(u).members
+
+
+BRANDT = [("pair3", amg.pair_groupoid(3)), ("rstar5_2", amg.rstar_groupoid(5, 2))] + brandt_products()
+
+
+def subgroupoid_by_definition(B, S):
+    """(closed, wide, normal, units) of S from plain lists: closure under
+    composable products and inversion, alpha and beta onto the units, and
+    g*h*inv(g) in S for every h in S with alpha(h) = beta(h) = beta(g)."""
+    src, dst, iota, T = list(B.alpha), list(B.beta), list(B.iota), B.table.cells.tolist()
+    S = set(S)
+    closed = all(T[x][y] in S for x in S for y in S if dst[x] == src[y]) and all(iota[x] in S for x in S)
+    wide = closed and {src[x] for x in S} == set(B.units) == {dst[x] for x in S}
+    normal = wide and all(T[T[g][h]][iota[g]] in S for h in S if src[h] == dst[h]
+                          for g in range(B.order) if dst[g] == src[h])
+    return closed, wide, normal, tuple(sorted({src[x] for x in S} | {dst[x] for x in S}))
+
+
+def closure_by_definition(B, seeds):
+    src, dst, iota, T = list(B.alpha), list(B.beta), list(B.iota), B.table.cells.tolist()
+    S = set(seeds)
+    while True:
+        grown = S | {iota[x] for x in S} | {T[x][y] for x in S for y in S if dst[x] == src[y]}
+        if grown == S:
+            return S
+        S = grown
+
+
+@pytest.mark.parametrize("name,B", BRANDT, ids=[name for name, _ in BRANDT])
+def test_subgroupoid_reports_match_the_definition_on_brandt_groupoids(name, B):
+    """On connected Brandt groupoids, with wide subgroupoids generated from
+    the units and a few seeded elements, so that normal and non-normal ones
+    both occur when the isotropy groups are not trivial."""
+    rng = random.Random(name)
+    n = B.order
+    subsets = [list(B.units), list(range(n))] + [list(f) for f in B.fibers.values()]
+    subsets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(8)]
+    subsets += [closure_by_definition(B, set(B.units) | set(rng.sample(range(n), k)))
+                for k in (1, 1, 2, 2, 3)]
+    verdicts = set()
+    for S in subsets:
+        rep = amg.is_subgroupoid(B, B.subset(S))
+        want = subgroupoid_by_definition(B, S)
+        assert (rep.is_subgroupoid, rep.is_wide, rep.is_normal, rep.units.members) == want, (name, S)
+        assert (rep.witness is None) == (want[0] and (want[2] or not want[1])), (name, S)
+        verdicts.add(want[:3])
+    # a wide subgroupoid that is not normal needs a non-trivial isotropy group
+    assert ((True, True, False) in verdicts) == (max(map(len, B.fibers.values())) > 1)
+    assert amg.isotropy_subgroupoid(B).members == tuple(x for x in range(n) if B.alpha[x] == B.beta[x])
 
 
 def test_duplicate_names_are_aliases():
